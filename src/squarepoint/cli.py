@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .filters import FilterConfig, FilterId
-from .model import CORNERS, Candidate, distance_profile
+from .model import Candidate
 from .report import serialize, unavailable_lists
 from .search import BudgetExceededError, ScanRequest, oracle_scan, search_range, sieve_z
 from .selfcheck import SUITES
@@ -39,7 +39,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--z", type=int, required=True)
     p.add_argument("--filters", default="all",
                    help="comma-separated filter ids, or 'all'")
-    p.add_argument("--attribution", choices=("first", "full"), default="first")
     add_output_flags(p)
 
     p = sub.add_parser("search", help="sieve a range of side lengths")
@@ -100,7 +99,7 @@ def _cmd_sieve(args) -> int:
     if args.z < 1:
         raise UsageError("--z must be positive")
     cfg = FilterConfig(enabled=_parse_filters(args.filters))
-    result = sieve_z(args.z, cfg, args.attribution)
+    result = sieve_z(args.z, cfg)
     _emit(serialize(result, args.format), args.out)
     return 0
 
@@ -120,31 +119,7 @@ def _cmd_search(args) -> int:
 def _cmd_distances(args) -> int:
     if args.z < 1 or not (0 <= args.x <= args.z and 0 <= args.y <= args.z):
         raise UsageError("need 0 <= x,y <= z and z >= 1")
-    c = Candidate(args.x, args.y, args.z)
-    profile = distance_profile(c)
-    if args.format == "json":
-        import json
-
-        payload = {
-            "x": c.x, "y": c.y, "z": c.z,
-            "squared": dict(zip(CORNERS, profile.squared)),
-            "roots": dict(zip(CORNERS, profile.roots)),
-            "count": profile.integer_count,
-        }
-        data = (json.dumps(payload, indent=2) + "\n").encode()
-    elif args.format == "csv":
-        detail = ";".join(f"{k}={'-' if r is None else r}"
-                          for k, r in zip(CORNERS, profile.roots))
-        data = ("z,x,y,verdict,filter_id,detail\n"
-                f"{c.z},{c.x},{c.y},{profile.integer_count},,{detail}\n").encode()
-    else:
-        lines = [f"point x={c.x} y={c.y} in square of side {c.z}"]
-        for corner, sq, root in zip(CORNERS, profile.squared, profile.roots):
-            note = f"{root}^2" if root is not None else "not a square"
-            lines.append(f"  {corner}: {sq} ({note})")
-        lines.append(f"  integer corner distances: {profile.integer_count}")
-        data = ("\n".join(lines) + "\n").encode()
-    _emit(data, args.out)
+    _emit(serialize(Candidate(args.x, args.y, args.z), args.format), args.out)
     return 0
 
 

@@ -67,7 +67,6 @@ class Attribution(NamedTuple):
     """
 
     candidate: Candidate
-    mode: str
     entries: tuple[tuple[FilterId, Verdict], ...]
 
     @property
@@ -134,7 +133,7 @@ def filter_boundary(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
 
 
 @lru_cache(maxsize=1 << 12)
-def _lemma3_divisors(z: int, bound: int) -> frozenset[int]:
+def lemma3_divisors(z: int, bound: int) -> frozenset[int]:
     """Divisors d of z (0 < d < z) with n = z/d and n*n + 4 both prime."""
     out = set()
     for d in divisors(z):
@@ -149,7 +148,7 @@ def _lemma3_divisors(z: int, bound: int) -> frozenset[int]:
 def filter_lemma3(c: Candidate, cfg: FilterConfig) -> Verdict:
     """No side distance d may satisfy z = n*d with n and n*n + 4 both prime."""
     x, y, z = c
-    dangerous = _lemma3_divisors(z, cfg.lemma3_bound)
+    dangerous = lemma3_divisors(z, cfg.lemma3_bound)
     for side, d in (("x", x), ("y", y), ("z-x", z - x), ("z-y", z - y)):
         if d in dangerous:
             n = z // d
@@ -247,16 +246,21 @@ def filter_theorem3(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
     return UNDECIDED
 
 
+def theorem4_root(t: int, primes: tuple[int, ...]) -> tuple[int, int] | None:
+    """(p, e) with t = p**e for odd t and p in primes; otherwise None."""
+    if t < 2 or t % 2 == 0:
+        return None
+    root = prime_power_root(t)
+    return root if root is not None and root[0] in primes else None
+
+
 def filter_theorem4(c: Candidate, cfg: FilterConfig) -> Verdict:
     """Neither x nor z - x may be p**e for a configured prime with (2/p) = -1."""
     _check_nonresidue_primes(cfg.theorem4_primes)
     x, _, z = c
-    allowed = set(cfg.theorem4_primes)
     for side, t in (("x", x), ("z-x", z - x)):
-        if t < 2 or t % 2 == 0:
-            continue
-        root = prime_power_root(t)
-        if root is not None and root[0] in allowed:
+        root = theorem4_root(t, cfg.theorem4_primes)
+        if root is not None:
             return Verdict(
                 FilterId.THEOREM4,
                 {"kind": "prime_power", "side": side, "p": root[0], "e": root[1]},
@@ -418,10 +422,10 @@ def run_pipeline(c: Candidate, cfg: FilterConfig, mode: str = FIRST_HIT) -> Attr
         verdict = func(c, cfg)
         if mode == FIRST_HIT:
             if verdict.eliminated:
-                return Attribution(c, mode, ((fid, verdict),))
+                return Attribution(c, ((fid, verdict),))
         else:
             entries.append((fid, verdict))
-    return Attribution(c, mode, tuple(entries))
+    return Attribution(c, tuple(entries))
 
 
 def full_attribution(c: Candidate, cfg: FilterConfig) -> Attribution:

@@ -86,19 +86,6 @@ def orbit(c: Candidate) -> set[Candidate]:
     return {Candidate(a, b, z) for a, b in pts}
 
 
-def _canonical_xy(x: int, y: int, z: int) -> tuple[int, int]:
-    best = None
-    best_any = None
-    for a in (x, z - x):
-        for b in (y, z - y):
-            for p in ((a, b), (b, a)):
-                if best_any is None or p < best_any:
-                    best_any = p
-                if p[0] % 2 and (best is None or p < best):
-                    best = p
-    return best if best is not None else best_any
-
-
 def canonicalize(c: Candidate) -> Candidate:
     """The designated orbit representative.
 
@@ -106,8 +93,7 @@ def canonicalize(c: Candidate) -> Candidate:
     odd coordinate comes first); among those, the lexicographically least
     (x, y) wins.  Idempotent and constant on orbits.
     """
-    _check_bounds(c)
-    return Candidate(*_canonical_xy(c.x, c.y, c.z), c.z)
+    return min(orbit(c), key=lambda p: (p.x % 2 == 0, p))
 
 
 def is_primitive_interior(c: Candidate) -> bool:

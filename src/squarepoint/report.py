@@ -14,14 +14,14 @@ import json
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .arith import is_prime, prime_power_root
+from .arith import is_prime
 from .filters import (
-    FULL,
     Attribution,
     FilterConfig,
     FilterId,
     Verdict,
-    _lemma3_divisors,
+    lemma3_divisors,
+    theorem4_root,
     theorem5_shape,
 )
 from .model import CORNERS, Candidate, DistanceProfile, distance_profile
@@ -76,18 +76,13 @@ def unavailable_lists(z: int, cfg: FilterConfig | None = None) -> UnavailableLis
     if z < 2 or z % 2:
         raise ValueError("unavailable lists are defined for even z >= 2")
     cfg = cfg if cfg is not None else FilterConfig()
-    t4_primes = set(cfg.theorem4_primes)
 
     t3 = [x for x in range(1, z, 2) if is_prime(x)]
-    t4 = []
-    for x in range(3, z, 2):
-        root = prime_power_root(x)
-        if root is not None and root[0] in t4_primes:
-            t4.append(x)
+    t4 = [x for x in range(1, z, 2) if theorem4_root(x, cfg.theorem4_primes)]
     t5 = [y for y in range(2, z, 2) if theorem5_shape(y) is not None]
     t5_lists = _with_reflection(z, t5)
 
-    dangerous = _lemma3_divisors(z, cfg.lemma3_bound)
+    dangerous = lemma3_divisors(z, cfg.lemma3_bound)
     l3 = [
         y
         for y in range(2, z, 2)
@@ -118,6 +113,13 @@ def _attribution_to_list(attribution: Attribution) -> list[dict]:
     return [_verdict_to_dict(fid, v) for fid, v in attribution.entries]
 
 
+def _corners_to_dict(profile: DistanceProfile) -> dict:
+    return {
+        "squared": dict(zip(CORNERS, profile.squared)),
+        "roots": dict(zip(CORNERS, profile.roots)),
+    }
+
+
 def _hit_to_dict(hit: ScanHit) -> dict:
     c, profile = hit.candidate, hit.profile
     return {
@@ -126,8 +128,18 @@ def _hit_to_dict(hit: ScanHit) -> dict:
         "y": c.y,
         "count": profile.integer_count,
         "orbit": hit.orbit_size,
-        "squared": dict(zip(CORNERS, profile.squared)),
-        "roots": dict(zip(CORNERS, profile.roots)),
+        **_corners_to_dict(profile),
+    }
+
+
+def _candidate_to_dict(c: Candidate) -> dict:
+    profile = distance_profile(c)
+    return {
+        "x": c.x,
+        "y": c.y,
+        "z": c.z,
+        **_corners_to_dict(profile),
+        "count": profile.integer_count,
     }
 
 
@@ -209,7 +221,7 @@ def _attribution_from_list(c: Candidate, entries: list[dict]) -> Attribution:
             parsed.append((fid, Verdict(fid, entry["witness"])))
         else:
             parsed.append((fid, Verdict(None, None)))
-    return Attribution(c, FULL, tuple(parsed))
+    return Attribution(c, tuple(parsed))
 
 
 def parse_sieve_result(data: bytes | str | dict) -> SieveResult:
@@ -285,13 +297,15 @@ def _roots_detail(profile: DistanceProfile) -> str:
 CSV_HEADER = ("z", "x", "y", "verdict", "filter_id", "detail")
 
 
+def _profile_row(c: Candidate, profile: DistanceProfile) -> tuple:
+    return (c.z, c.x, c.y, profile.integer_count, "", _roots_detail(profile))
+
+
 def _csv_rows(result) -> list[tuple]:
+    if isinstance(result, Candidate):
+        return [_profile_row(result, distance_profile(result))]
     if isinstance(result, ScanReport):
-        return [
-            (h.candidate.z, h.candidate.x, h.candidate.y, h.profile.integer_count, "",
-             _roots_detail(h.profile))
-            for h in result.hits
-        ]
+        return [_profile_row(h.candidate, h.profile) for h in result.hits]
     if isinstance(result, SieveResult):
         return [
             (result.z, s.candidate.x, s.candidate.y, "survivor", "",
@@ -323,7 +337,14 @@ def _render_csv(results) -> str:
 
 def _render_text(result) -> str:
     lines = []
-    if isinstance(result, SieveResult):
+    if isinstance(result, Candidate):
+        profile = distance_profile(result)
+        lines.append(f"point x={result.x} y={result.y} in square of side {result.z}")
+        for corner, sq, root in zip(CORNERS, profile.squared, profile.roots):
+            note = f"{root}^2" if root is not None else "not a square"
+            lines.append(f"  {corner}: {sq} ({note})")
+        lines.append(f"  integer corner distances: {profile.integer_count}")
+    elif isinstance(result, SieveResult):
         lines.append(f"sieve z={result.z}")
         lines.append(f"  candidates examined: {result.candidates}")
         for fid, n in result.eliminated:
@@ -367,14 +388,19 @@ def _render_text(result) -> str:
 
 
 def serialize(result, fmt: str = "json") -> bytes:
-    """Render a SieveResult, ScanReport, UnavailableLists, or sequence of
-    SieveResults as json, csv or text bytes."""
+    """Render a Candidate's distance profile, a SieveResult, ScanReport,
+    UnavailableLists, or sequence of SieveResults as json, csv or text bytes."""
     if fmt not in FORMATS:
         raise ValueError(f"unsupported format {fmt!r}; expected one of {FORMATS}")
-    is_range = isinstance(result, Sequence) and not isinstance(result, (str, bytes))
+    # a Candidate is a tuple, so it must not count as a range
+    is_range = isinstance(result, Sequence) and not isinstance(
+        result, (str, bytes, Candidate)
+    )
     if fmt == "json":
         if is_range:
             payload = {"results": [sieve_result_to_dict(r) for r in result]}
+        elif isinstance(result, Candidate):
+            payload = _candidate_to_dict(result)
         elif isinstance(result, SieveResult):
             payload = sieve_result_to_dict(result)
         elif isinstance(result, ScanReport):

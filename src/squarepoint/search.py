@@ -16,7 +16,6 @@ from typing import Iterator, NamedTuple
 from .arith import pythagorean_partners
 from .filters import (
     FIRST_HIT,
-    FULL,
     Attribution,
     FilterConfig,
     FilterId,
@@ -127,8 +126,9 @@ def _region_pairs(req: ScanRequest) -> int:
     return total
 
 
-def _interior_hits(z: int, min_count: int) -> Iterator[tuple[int, int, int]]:
-    """(x, y, integer corner count) for interior points with count >= min_count.
+def _interior_hits(z: int, min_count: int) -> Iterator[tuple[int, int]]:
+    """(x, y) of the interior points with at least min_count integer corner
+    distances, ascending.
 
     A corner is integral iff its vertical leg lies in the partner table of
     its horizontal leg, so the count at (x, y) is the multiplicity of y
@@ -137,7 +137,7 @@ def _interior_hits(z: int, min_count: int) -> Iterator[tuple[int, int, int]]:
     if min_count == 0:
         for x in range(1, z):
             for y in range(1, z):
-                yield x, y, distance_profile(Candidate(x, y, z)).integer_count
+                yield x, y
         return
     for x in range(1, z):
         counts: dict[int, int] = {}
@@ -153,7 +153,7 @@ def _interior_hits(z: int, min_count: int) -> Iterator[tuple[int, int, int]]:
                 counts[z - y] = counts.get(z - y, 0) + 1  # corner C
         for y in sorted(counts):
             if counts[y] >= min_count:
-                yield x, y, counts[y]
+                yield x, y
 
 
 def _boundary_points(z: int) -> Iterator[tuple[int, int]]:
@@ -177,12 +177,9 @@ def oracle_scan(req: ScanRequest) -> ScanReport:
     for z in range(req.z_min, req.z_max + 1):
         if req.mod12_only and z % 12:
             continue
-        z_hits = []
-        for x, y, _count in _interior_hits(z, req.min_count):
-            z_hits.append(Candidate(x, y, z))
+        z_hits = [Candidate(x, y, z) for x, y in _interior_hits(z, req.min_count)]
         if req.include_boundary:
-            for x, y in _boundary_points(z):
-                z_hits.append(Candidate(x, y, z))
+            z_hits.extend(Candidate(x, y, z) for x, y in _boundary_points(z))
         for c in sorted(set(z_hits)):
             if req.primitive_only and not c.is_primitive:
                 continue
@@ -191,13 +188,13 @@ def oracle_scan(req: ScanRequest) -> ScanReport:
             profile = distance_profile(c)
             if profile.integer_count >= req.min_count:
                 hits.append(ScanHit(c, profile, len(orbit(c))))
-    hits.sort(key=lambda h: (h.candidate.z, h.candidate.x, h.candidate.y))
     return ScanReport(req, tuple(hits))
 
 
 def sieve_z(z: int, cfg: FilterConfig | None = None, mode: str = FIRST_HIT) -> SieveResult:
     """Run the filter pipeline over every deduplicated primitive interior
-    candidate at side z; the oracle then profiles the survivors only."""
+    candidate at side z; the oracle then profiles the survivors only.
+    The pipeline mode does not change the result."""
     if z < 1:
         raise ValueError("z must be positive")
     cfg = cfg if cfg is not None else FilterConfig()
@@ -227,9 +224,12 @@ def sieve_z(z: int, cfg: FilterConfig | None = None, mode: str = FIRST_HIT) -> S
     )
 
 
-def _sieve_task(args: tuple[int, FilterConfig, str]) -> SieveResult:
-    z, cfg, mode = args
-    return sieve_z(z, cfg, mode)
+def _sieve_task(args: tuple[int, FilterConfig]) -> SieveResult:
+    z, cfg = args
+    try:
+        return sieve_z(z, cfg)
+    except Exception as exc:
+        raise RuntimeError(f"sieve failed at z={z}: {exc}") from exc
 
 
 def search_range(
@@ -238,13 +238,13 @@ def search_range(
     cfg: FilterConfig | None = None,
     workers: int = 1,
     mod12_only: bool = False,
-    mode: str = FIRST_HIT,
     budget: int = DEFAULT_BUDGET,
 ) -> list[SieveResult]:
     """Sieve every z in [z_min, z_max], in ascending z.
 
     Work is partitioned by whole z values, so results are identical for any
-    worker count; a worker failure aborts the whole range.
+    worker count; a failure at any z aborts the whole range with a
+    RuntimeError naming that z.
     """
     if z_min < 1 or z_min > z_max:
         raise ValueError("need 1 <= z_min <= z_max")
@@ -256,11 +256,8 @@ def search_range(
         raise BudgetExceededError(
             f"range holds more than budget={budget} candidate pairs"
         )
-    tasks = [(z, cfg, mode) for z in zs]
+    tasks = [(z, cfg) for z in zs]
     if workers == 1:
         return [_sieve_task(t) for t in tasks]
-    try:
-        with multiprocessing.Pool(workers) as pool:
-            return pool.map(_sieve_task, tasks)
-    except Exception as exc:
-        raise RuntimeError(f"sieve worker failed, range aborted: {exc}") from exc
+    with multiprocessing.Pool(workers) as pool:
+        return pool.map(_sieve_task, tasks)

@@ -190,8 +190,10 @@ def test_search_range_worker_failure_aborts():
     object.__setattr__(bad, "theorem2_primes", (7,))  # (2/7) = +1
     object.__setattr__(bad, "theorem4_primes", ())
     object.__setattr__(bad, "lemma3_bound", 10_000)
-    with pytest.raises((RuntimeError, ValueError)):
-        search_range(50, 60, bad, workers=2)
+    # only z = 60 reaches theorem2 (parity_residue rules out z % 12 != 0)
+    for workers in (1, 2):
+        with pytest.raises(RuntimeError, match="z=60"):
+            search_range(50, 60, bad, workers=workers)
 
 
 def test_oracle_hits_survive_sieve():
