@@ -187,17 +187,18 @@ def unavailable_to_dict(lists: UnavailableLists) -> dict:
         "z": lists.z,
         "lists": {
             fid.value: {"direct": list(vl.direct), "combined": list(vl.combined)}
-            for fid, vl in _named_lists(lists)
+            for fid, _, vl in _named_lists(lists)
         },
     }
 
 
 def _named_lists(lists: UnavailableLists):
+    """(source filter, axis, values) of each list."""
     return (
-        (FilterId.THEOREM3, lists.theorem3_x),
-        (FilterId.THEOREM4, lists.theorem4_x),
-        (FilterId.THEOREM5, lists.theorem5_y),
-        (FilterId.LEMMA3, lists.lemma3_y),
+        (FilterId.THEOREM3, "x", lists.theorem3_x),
+        (FilterId.THEOREM4, "x", lists.theorem4_x),
+        (FilterId.THEOREM5, "y", lists.theorem5_y),
+        (FilterId.LEMMA3, "y", lists.lemma3_y),
     )
 
 
@@ -227,20 +228,18 @@ def _attribution_from_list(c: Candidate, entries: list[dict]) -> Attribution:
 def parse_sieve_result(data: bytes | str | dict) -> SieveResult:
     obj = _load(data)
     z = obj["z"]
-    survivors = tuple(
-        Survivor(
-            Candidate(s["x"], s["y"], z),
-            _attribution_from_list(Candidate(s["x"], s["y"], z), s["attribution"]),
-        )
-        for s in obj["survivors"]
-    )
+    survivors = []
+    for s in obj["survivors"]:
+        c = Candidate(s["x"], s["y"], z)
+        attribution = _attribution_from_list(c, s["attribution"])
+        survivors.append(Survivor(c, attribution, distance_profile(c)))
     return SieveResult(
         z=z,
         candidates=obj["totals"]["candidates"],
         eliminated=tuple(
             (FilterId(name), n) for name, n in obj["totals"]["eliminated"].items()
         ),
-        survivors=survivors,
+        survivors=tuple(survivors),
         max_count=obj["oracle"]["max_count"],
         witnesses=tuple(_hit_from_dict(w) for w in obj["oracle"]["witnesses"]),
     )
@@ -309,20 +308,16 @@ def _csv_rows(result) -> list[tuple]:
     if isinstance(result, SieveResult):
         return [
             (result.z, s.candidate.x, s.candidate.y, "survivor", "",
-             _roots_detail(distance_profile(s.candidate)))
+             _roots_detail(s.profile))
             for s in result.survivors
         ]
     if isinstance(result, UnavailableLists):
-        rows = []
-        for fid, vl in _named_lists(result):
-            axis = "x" if fid in (FilterId.THEOREM3, FilterId.THEOREM4) else "y"
-            for v in vl.combined:
-                membership = "direct" if v in vl.direct else "reflected"
-                if axis == "x":
-                    rows.append((result.z, v, "", "unavailable", fid.value, membership))
-                else:
-                    rows.append((result.z, "", v, "unavailable", fid.value, membership))
-        return rows
+        return [
+            (result.z, *((v, "") if axis == "x" else ("", v)), "unavailable", fid.value,
+             "direct" if v in vl.direct else "reflected")
+            for fid, axis, vl in _named_lists(result)
+            for v in vl.combined
+        ]
     raise TypeError(f"no CSV rendering for {type(result).__name__}")
 
 
@@ -352,13 +347,12 @@ def _render_text(result) -> str:
                 lines.append(f"  eliminated by {fid.value}: {n}")
         lines.append(f"  survivors: {len(result.survivors)}")
         for s in result.survivors:
-            profile = distance_profile(s.candidate)
             near = ",".join(
                 fid.value for fid, v in s.attribution.entries if v.eliminated
             )
             lines.append(
                 f"    x={s.candidate.x} y={s.candidate.y}"
-                f" roots {_roots_detail(profile)}"
+                f" roots {_roots_detail(s.profile)}"
                 + (f" (would fall to: {near})" if near else "")
             )
         if result.max_count is not None:
@@ -377,8 +371,7 @@ def _render_text(result) -> str:
             )
     elif isinstance(result, UnavailableLists):
         lines.append(f"unavailable values at z={result.z}")
-        for fid, vl in _named_lists(result):
-            axis = "x" if fid in (FilterId.THEOREM3, FilterId.THEOREM4) else "y"
+        for fid, axis, vl in _named_lists(result):
             label = f"{fid.value} ({_SOURCE_LABELS[fid]}), {axis}"
             lines.append(f"  {label}, direct:   " + " ".join(map(str, vl.direct)))
             lines.append(f"  {label}, combined: " + " ".join(map(str, vl.combined)))

@@ -79,6 +79,7 @@ class ScanReport:
 class Survivor(NamedTuple):
     candidate: Candidate
     attribution: Attribution
+    profile: DistanceProfile
 
 
 @dataclass(frozen=True)
@@ -87,8 +88,8 @@ class SieveResult:
 
     candidates == survivors + sum of eliminated counts.  Survivors carry a
     full attribution over every filter (not only the enabled ones) so the
-    report can explain near-misses; the oracle fields summarize the exact
-    distance profiles of the survivors only.
+    report can explain near-misses, and their exact distance profile; the
+    oracle fields summarize those profiles.
     """
 
     z: int
@@ -117,13 +118,19 @@ def enumerate_candidates(z: int, dedup: bool = False) -> Iterator[Candidate]:
                     yield Candidate(x, y, z)
 
 
-def _region_pairs(req: ScanRequest) -> int:
-    total = 0
-    for z in range(req.z_min, req.z_max + 1):
-        if req.mod12_only and z % 12:
-            continue
-        total += (z + 1) ** 2 if req.include_boundary else (z - 1) ** 2
-    return total
+def _side_lengths(
+    z_min: int, z_max: int, mod12_only: bool, budget: int, boundary: bool, region: str
+) -> range:
+    """The z in [z_min, z_max] (only z = 0 (mod 12) with mod12_only), once
+    their candidate pairs, (z+1)^2 with the boundary and (z-1)^2 without,
+    are known to fit in budget."""
+    step = 12 if mod12_only else 1
+    zs = range(z_min + (-z_min) % step, z_max + 1, step)
+    if sum((z + 1) ** 2 if boundary else (z - 1) ** 2 for z in zs) > budget:
+        raise BudgetExceededError(
+            f"{region} holds more than budget={budget} candidate pairs"
+        )
+    return zs
 
 
 def _interior_hits(z: int, min_count: int) -> Iterator[tuple[int, int]]:
@@ -169,14 +176,10 @@ def oracle_scan(req: ScanRequest) -> ScanReport:
     """Exhaustive scan for points with at least min_count integer corner
     distances; emits one canonical representative per orbit, ascending
     (z, x, y), each with its exact profile and orbit size."""
-    if _region_pairs(req) > req.budget:
-        raise BudgetExceededError(
-            f"scan region holds more than budget={req.budget} candidate pairs"
-        )
+    zs = _side_lengths(req.z_min, req.z_max, req.mod12_only, req.budget,
+                       req.include_boundary, "scan region")
     hits = []
-    for z in range(req.z_min, req.z_max + 1):
-        if req.mod12_only and z % 12:
-            continue
+    for z in zs:
         z_hits = [Candidate(x, y, z) for x, y in _interior_hits(z, req.min_count)]
         if req.include_boundary:
             z_hits.extend(Candidate(x, y, z) for x, y in _boundary_points(z))
@@ -206,21 +209,21 @@ def sieve_z(z: int, cfg: FilterConfig | None = None, mode: str = FIRST_HIT) -> S
         attribution = run_pipeline(c, cfg, mode)
         hit = attribution.eliminated_by
         if hit is None:
-            survivors.append(Survivor(c, full_attribution(c, cfg)))
+            survivors.append(Survivor(c, full_attribution(c, cfg), distance_profile(c)))
         else:
             counts[hit] += 1
-    witnesses = [
-        ScanHit(s.candidate, distance_profile(s.candidate), len(orbit(s.candidate)))
-        for s in survivors
-    ]
-    max_count = max((w.profile.integer_count for w in witnesses), default=None)
+    max_count = max((s.profile.integer_count for s in survivors), default=None)
     return SieveResult(
         z=z,
         candidates=total,
         eliminated=tuple(counts.items()),
         survivors=tuple(survivors),
         max_count=max_count,
-        witnesses=tuple(w for w in witnesses if w.profile.integer_count == max_count),
+        witnesses=tuple(
+            ScanHit(s.candidate, s.profile, len(orbit(s.candidate)))
+            for s in survivors
+            if s.profile.integer_count == max_count
+        ),
     )
 
 
@@ -251,11 +254,7 @@ def search_range(
     if workers < 1:
         raise ValueError("workers must be positive")
     cfg = cfg if cfg is not None else FilterConfig()
-    zs = [z for z in range(z_min, z_max + 1) if not mod12_only or z % 12 == 0]
-    if sum((z - 1) ** 2 for z in zs) > budget:
-        raise BudgetExceededError(
-            f"range holds more than budget={budget} candidate pairs"
-        )
+    zs = _side_lengths(z_min, z_max, mod12_only, budget, False, "range")
     tasks = [(z, cfg) for z in zs]
     if workers == 1:
         return [_sieve_task(t) for t in tasks]

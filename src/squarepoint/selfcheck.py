@@ -1,8 +1,10 @@
-"""Built-in verification suites behind the `verify` CLI subcommand.
+"""Cross-checks of the arithmetic layer, the filter witnesses and the paper's
+worked examples.
 
-Quick, self-contained cross-checks of the arithmetic layer, the filter
-witnesses, and the classic z=60 worked example.  The pytest suite runs the
-same checks at larger bounds; these are sized to finish in seconds.
+Each check is one function that takes its bound and returns a CheckResult.
+SUITES runs them at bounds sized to finish in seconds (the `verify` CLI
+subcommand); the acceptance gate in tests/test_acceptance.py runs the same
+functions at larger bounds.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .arith import (
     odd_leg_decompositions,
     pythagorean_partners,
 )
-from .filters import FilterConfig, FilterId, recheck_witness, run_pipeline
+from .filters import FULL, FilterConfig, FilterId, recheck_witness, run_pipeline
 from .model import Candidate, distance_profile
 from .report import unavailable_lists
 from .search import ScanRequest, enumerate_candidates, oracle_scan, sieve_z
@@ -29,130 +31,136 @@ class CheckResult(NamedTuple):
     detail: str = ""
 
 
-def _check(name: str, ok: bool, detail: str = "") -> CheckResult:
-    return CheckResult(name, bool(ok), "" if ok else detail)
+def _check(name: str, failures: list) -> CheckResult:
+    """Passes iff nothing failed; the detail names the first failures."""
+    detail = f"failures: {failures[:3]}" if failures else ""
+    return CheckResult(name, not failures, detail)
 
 
-def suite_arith() -> list[CheckResult]:
-    results = []
-
-    bad = []
-    for p in range(3, 200, 2):
-        if not is_prime(p):
-            continue
-        for a in range(1, p):
-            if (jacobi(a, p) == -1) == is_qr_bruteforce(a, p):
-                bad.append((a, p))
-    results.append(_check("jacobi matches residue enumeration (p < 200)", not bad,
-                          f"mismatches: {bad[:3]}"))
-
-    bad = [p for p in range(3, 2000, 2)
-           if is_prime(p) and (jacobi(2, p) == -1) != (p % 8 in (3, 5))]
-    results.append(_check("(2/p) = -1 iff p = 3,5 (mod 8) (p < 2000)", not bad,
-                          f"mismatches: {bad[:5]}"))
-
-    bad = []
-    for a in range(1, 80):
-        naive = tuple(
-            b for b in range(1, (a * a - 1) // 2 + 1) if isqrt(a * a + b * b)[1]
-        )
-        if pythagorean_partners(a) != naive:
-            bad.append(a)
-    results.append(_check("partner table matches naive scan (a < 80)", not bad,
-                          f"mismatches at a={bad[:5]}"))
-
-    bad = []
-    for a in range(3, 200, 2):
-        evens = {2 * k * u * v for k, u, v in odd_leg_decompositions(a)}
-        partners = set(pythagorean_partners(a))
-        if evens != partners or max(partners) != (a * a - 1) // 2:
-            bad.append(a)
-    results.append(_check("leg decompositions give the partner set (odd a < 200)",
-                          not bad, f"mismatches at a={bad[:5]}"))
-    return results
+def _odd_primes(below: int) -> list[int]:
+    return [p for p in range(3, below, 2) if is_prime(p)]
 
 
-def suite_filters() -> list[CheckResult]:
-    results = []
+def check_jacobi(below: int) -> CheckResult:
+    return _check(f"jacobi matches residue enumeration (p < {below})", [
+        (a, p)
+        for p in _odd_primes(below)
+        for a in range(1, p)
+        if (jacobi(a, p) == -1) == is_qr_bruteforce(a, p)
+    ])
+
+
+def check_jacobi_of_two(below: int) -> CheckResult:
+    return _check(f"(2/p) = -1 iff p = 3,5 (mod 8) (p < {below})", [
+        p for p in _odd_primes(below) if (jacobi(2, p) == -1) != (p % 8 in (3, 5))
+    ])
+
+
+def _naive_partners(a: int) -> tuple[int, ...]:
+    """Scan every b up to the largest possible partner."""
+    return tuple(b for b in range(1, (a * a - 1) // 2 + 1) if isqrt(a * a + b * b)[1])
+
+
+def check_partners(below: int) -> CheckResult:
+    return _check(f"partner table matches naive scan (a < {below})", [
+        a for a in range(1, below) if pythagorean_partners(a) != _naive_partners(a)
+    ])
+
+
+def check_decompositions(below: int) -> CheckResult:
+    """The legs 2kuv of an odd a's decompositions are exactly its partners,
+    the largest being (a^2 - 1) / 2."""
+    return _check(f"leg decompositions give the partner set (odd a < {below})", [
+        a
+        for a in range(3, below, 2)
+        if {2 * k * u * v for k, u, v in odd_leg_decompositions(a)}
+        != set(pythagorean_partners(a))
+        or max(pythagorean_partners(a)) != (a * a - 1) // 2
+    ])
+
+
+def check_modes(zs: tuple[int, ...]) -> CheckResult:
+    """First-hit and full mode name the same first eliminating filter (None
+    for a survivor) for every candidate at each z."""
     cfg = FilterConfig()
-
-    bad = None
-    checked = 0
-    for z in range(1, 151):
-        for c in enumerate_candidates(z, dedup=True):
-            attribution = run_pipeline(c, cfg, "first")
-            for fid, verdict in attribution.entries:
-                if verdict.eliminated:
-                    checked += 1
-                    if not recheck_witness(c, fid, verdict.witness):
-                        bad = (c, fid, verdict.witness)
-            if bad:
-                break
-        if bad:
-            break
-    results.append(_check(f"every witness re-validates (z <= 150, {checked} checked)",
-                          bad is None, f"first failure: {bad}"))
-
-    scan = oracle_scan(ScanRequest(z_min=1, z_max=150, min_count=4))
-    unsound = []
-    for hit in scan.hits:
-        survivors = {s.candidate for s in sieve_z(hit.candidate.z, cfg).survivors}
-        if hit.candidate not in survivors:
-            unsound.append(hit.candidate)
-    results.append(_check("four-distance oracle hits survive the sieve (z <= 150)",
-                          not unsound, f"filtered out: {unsound[:3]}"))
-
-    agree = all(
-        run_pipeline(c, cfg, "first").survived == run_pipeline(c, cfg, "full").survived
-        for z in (60, 84)
+    return _check(f"first-hit and full modes name the same filter (z in {zs})", [
+        c
+        for z in zs
         for c in enumerate_candidates(z, dedup=True)
-    )
-    results.append(_check("first-hit and full modes agree on survival", agree))
-    return results
+        if run_pipeline(c, cfg).eliminated_by
+        is not run_pipeline(c, cfg, FULL).eliminated_by
+    ])
 
 
-def suite_paper() -> list[CheckResult]:
-    results = []
+def check_witnesses(z_max: int) -> CheckResult:
+    """One first-hit pass over every z <= z_max: each elimination witness
+    must re-validate, and every four-distance point the oracle finds must be
+    among the survivors."""
+    cfg = FilterConfig()
+    survivors = set()
+    failures = []
+    checked = 0
+    for z in range(1, z_max + 1):
+        for c in enumerate_candidates(z, dedup=True):
+            attribution = run_pipeline(c, cfg)
+            if attribution.survived:
+                survivors.add(c)
+                continue
+            ((fid, verdict),) = attribution.entries
+            checked += 1
+            if not recheck_witness(c, fid, verdict.witness) and len(failures) < 3:
+                failures.append((c, fid, verdict.witness))
+    hits = oracle_scan(ScanRequest(z_min=1, z_max=z_max, min_count=4)).hits
+    failures += [h.candidate for h in hits if h.candidate not in survivors]
+    return _check(f"{checked} elimination witnesses re-validate, all {len(hits)} "
+                  f"four-distance points survive (z <= {z_max})", failures)
+
+
+def check_z60_lists() -> CheckResult:
     lists = unavailable_lists(60)
+    return _check("z=60 unavailable lists reproduced exactly", [name for name, ok in (
+        ("theorem3 x combined", lists.theorem3_x.combined == (
+            1, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 49, 53, 55, 57, 59
+        )),
+        ("theorem5 y direct", lists.theorem5_y.direct == (4, 8, 16, 24, 32, 48)),
+        ("theorem5 y combined", lists.theorem5_y.combined
+         == (4, 8, 12, 16, 24, 28, 32, 36, 44, 48, 52, 56)),
+        ("lemma3 y combined", lists.lemma3_y.combined == (20, 40)),
+        ("theorem4 x direct holds 3, 5, 9, 25, 27",
+         {3, 5, 9, 25, 27} <= set(lists.theorem4_x.direct)),
+    ) if not ok])
 
-    results.append(_check(
-        "z=60 combined prime list for x",
-        lists.theorem3_x.combined
-        == (1, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 49, 53, 55, 57, 59),
-        f"got {lists.theorem3_x.combined}"))
-    results.append(_check(
-        "z=60 power-of-two shape list for y",
-        lists.theorem5_y.direct == (4, 8, 16, 24, 32, 48)
-        and lists.theorem5_y.combined == (4, 8, 12, 16, 24, 28, 32, 36, 44, 48, 52, 56),
-        f"got {lists.theorem5_y}"))
-    results.append(_check(
-        "z=60 side-multiple list for y", lists.lemma3_y.combined == (20, 40),
-        f"got {lists.lemma3_y.combined}"))
-    results.append(_check(
-        "z=60 prime-power list contains 3, 5, 9, 25, 27",
-        {3, 5, 9, 25, 27} <= set(lists.theorem4_x.direct),
-        f"got {lists.theorem4_x.direct}"))
 
-    cfg = FilterConfig.only(
-        FilterId.PARITY_RESIDUE, FilterId.LEMMA3, FilterId.THEOREM5
-    )
-    result = sieve_z(60, cfg)
-    results.append(_check(
-        "z=60 sieve closes with parity, lemma3 and theorem5 alone",
-        not result.survivors, f"{len(result.survivors)} survivors"))
+def check_z60_closes() -> CheckResult:
+    cfg = FilterConfig.only(FilterId.PARITY_RESIDUE, FilterId.LEMMA3, FilterId.THEOREM5)
+    return _check("z=60 closes with parity, lemma3 and theorem5 alone",
+                  [s.candidate for s in sieve_z(60, cfg).survivors])
 
-    for triple, roots in (((7, 24, 52), (25, None, 53, 51)),
-                          ((297, 304, 700), (425, 495, 565, None))):
-        profile = distance_profile(Candidate(*triple))
-        results.append(_check(
-            f"three-distance witness {triple}",
-            profile.roots == roots and profile.integer_count == 3,
-            f"got roots {profile.roots}"))
-    return results
+
+# corner roots (A, B, C, D) of the two classic three-distance points
+THREE_DISTANCE_ROOTS = {
+    (7, 24, 52): (25, None, 53, 51),
+    (297, 304, 700): (425, 495, 565, None),
+}
+
+
+def check_three_distance(triple: tuple[int, int, int]) -> CheckResult:
+    roots = distance_profile(Candidate(*triple)).roots
+    return _check(f"three-distance witness {triple}",
+                  [] if roots == THREE_DISTANCE_ROOTS[triple] else [roots])
 
 
 SUITES: dict[str, Callable[[], list[CheckResult]]] = {
-    "arith": suite_arith,
-    "filters": suite_filters,
-    "paper": suite_paper,
+    "arith": lambda: [
+        check_jacobi(200),
+        check_jacobi_of_two(2000),
+        check_partners(80),
+        check_decompositions(200),
+    ],
+    "filters": lambda: [check_witnesses(150), check_modes((60, 84))],
+    "paper": lambda: [
+        check_z60_lists(),
+        check_z60_closes(),
+        *map(check_three_distance, THREE_DISTANCE_ROOTS),
+    ],
 }

@@ -1,28 +1,25 @@
 """Acceptance suite: eight gate criteria, each with an explicit bound and
 time budget, printing one PASS line per criterion.
 
+Criteria 1, 2, 5 and 7 run the `verify` checks of squarepoint.selfcheck,
+at larger bounds where a check has one.
+
 Run with `pytest tests/test_acceptance.py -v` (add -s to see the lines).
 """
 
 import time
 from math import gcd
 
-from squarepoint.arith import (
-    is_prime,
-    is_qr_bruteforce,
-    isqrt,
-    jacobi,
-    odd_leg_decompositions,
-    pythagorean_partners,
-)
-from squarepoint.filters import FilterConfig, FilterId, recheck_witness, run_pipeline
-from squarepoint.report import serialize, unavailable_lists
-from squarepoint.search import (
-    ScanRequest,
-    enumerate_candidates,
-    oracle_scan,
-    search_range,
-    sieve_z,
+from squarepoint.report import serialize
+from squarepoint.search import ScanRequest, oracle_scan, search_range
+from squarepoint.selfcheck import (
+    check_decompositions,
+    check_jacobi,
+    check_jacobi_of_two,
+    check_partners,
+    check_witnesses,
+    check_z60_closes,
+    check_z60_lists,
 )
 
 
@@ -32,28 +29,20 @@ def _report(num, detail, started, limit):
     assert elapsed < limit, f"criterion {num} exceeded its {limit}s budget"
 
 
+def _assert_ok(*results):
+    for result in results:
+        assert result.ok, f"{result.name}: {result.detail}"
+
+
 def test_criterion_1_z60_lists():
     started = time.monotonic()
-    lists = unavailable_lists(60)
-    assert lists.theorem3_x.combined == (
-        1, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 49, 53, 55, 57, 59
-    )
-    assert lists.theorem5_y.direct == (4, 8, 16, 24, 32, 48)
-    assert lists.theorem5_y.combined == (
-        4, 8, 12, 16, 24, 28, 32, 36, 44, 48, 52, 56
-    )
-    assert lists.lemma3_y.combined == (20, 40)
-    assert {3, 5, 9, 25, 27} <= set(lists.theorem4_x.direct)
+    _assert_ok(check_z60_lists())
     _report(1, "z=60 unavailable lists reproduced exactly", started, 1)
 
 
 def test_criterion_2_z60_sieve_closes():
     started = time.monotonic()
-    cfg = FilterConfig.only(
-        FilterId.PARITY_RESIDUE, FilterId.LEMMA3, FilterId.THEOREM5
-    )
-    result = sieve_z(60, cfg)
-    assert result.survivors == ()
+    _assert_ok(check_z60_closes())
     _report(2, "z=60 closes with parity, lemma3 and theorem5 alone", started, 1)
 
 
@@ -77,24 +66,12 @@ def test_criterion_4_no_four_distance_point_to_500():
 
 def test_criterion_5_arithmetic_properties():
     started = time.monotonic()
-    for p in range(3, 500, 2):
-        if not is_prime(p):
-            continue
-        for a in range(1, p):
-            assert (jacobi(a, p) == -1) == (not is_qr_bruteforce(a, p)), (a, p)
-    for p in range(3, 10**4, 2):
-        if is_prime(p):
-            assert (jacobi(2, p) == -1) == (p % 8 in (3, 5)), p
-    for a in range(1, 201):
-        naive = tuple(
-            b for b in range(1, (a * a - 1) // 2 + 1) if isqrt(a * a + b * b)[1]
-        )
-        assert pythagorean_partners(a) == naive, a
-    for a in range(3, 1000, 2):
-        evens = {2 * k * u * v for k, u, v in odd_leg_decompositions(a)}
-        partners = set(pythagorean_partners(a))
-        assert evens == partners, a
-        assert max(partners) == (a * a - 1) // 2, a
+    _assert_ok(
+        check_jacobi(500),
+        check_jacobi_of_two(10**4),
+        check_partners(201),
+        check_decompositions(1000),
+    )
     _report(5, "jacobi, partner and decomposition properties hold", started, 30)
 
 
@@ -123,26 +100,9 @@ def test_criterion_6_corner_inequalities():
 
 def test_criterion_7_witnesses_and_soundness():
     started = time.monotonic()
-    cfg = FilterConfig()
-    survivors_by_z = {}
-    checked = 0
-    for z in range(1, 601):
-        survivors = set()
-        for c in enumerate_candidates(z, dedup=True):
-            attribution = run_pipeline(c, cfg, "first")
-            hit = attribution.eliminated_by
-            if hit is None:
-                survivors.add(c)
-                continue
-            ((fid, verdict),) = attribution.entries
-            checked += 1
-            assert recheck_witness(c, fid, verdict.witness), (c, fid, verdict)
-        survivors_by_z[z] = survivors
-    four = oracle_scan(ScanRequest(z_min=1, z_max=600, min_count=4))
-    for hit in four.hits:  # vacuous today; the subset assertion is the contract
-        assert hit.candidate in survivors_by_z[hit.candidate.z]
-    _report(7, f"{checked} elimination witnesses re-validated, "
-               f"{len(four.hits)} four-distance points all survive", started, 120)
+    result = check_witnesses(600)
+    _assert_ok(result)
+    _report(7, result.name, started, 120)
 
 
 def test_criterion_8_worker_determinism():

@@ -25,6 +25,12 @@ from squarepoint.arith import (
     pythagorean_partners,
     two_nonresidue_primes,
 )
+from squarepoint.selfcheck import (
+    check_decompositions,
+    check_jacobi,
+    check_jacobi_of_two,
+    check_partners,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -35,13 +41,6 @@ def naive_is_prime(n):
     if n < 2:
         return False
     return all(n % d for d in range(2, floor_sqrt(n) + 1))
-
-
-def naive_partners(a):
-    """Scan every b up to the largest possible partner."""
-    return tuple(
-        b for b in range(1, (a * a - 1) // 2 + 1) if isqrt(a * a + b * b)[1]
-    )
 
 
 def brute_force_decompositions(a):
@@ -190,17 +189,13 @@ def test_is_qr_bruteforce_rejects_composite():
 
 
 def test_jacobi_agrees_with_enumeration():
-    for p in range(3, 200, 2):
-        if not is_prime(p):
-            continue
-        for a in range(1, p):
-            assert (jacobi(a, p) == -1) == (not is_qr_bruteforce(a, p)), (a, p)
+    result = check_jacobi(200)
+    assert result.ok, result.detail
 
 
 def test_jacobi_of_two_matches_mod8_rule():
-    for p in range(3, 1000, 2):
-        if is_prime(p):
-            assert (jacobi(2, p) == -1) == (p % 8 in (3, 5)), p
+    result = check_jacobi_of_two(1000)
+    assert result.ok, result.detail
 
 
 @given(st.integers(), st.integers(min_value=0, max_value=10**6))
@@ -288,16 +283,13 @@ def test_partner_examples():
 
 
 def test_partners_match_naive_scan():
-    for a in range(1, 61):
-        assert pythagorean_partners(a) == naive_partners(a), a
+    result = check_partners(61)
+    assert result.ok, result.detail
 
 
 def test_decomposition_partners_match_partner_table():
-    for a in range(3, 200, 2):
-        evens = {2 * k * u * v for k, u, v in odd_leg_decompositions(a)}
-        partners = set(pythagorean_partners(a))
-        assert evens == partners, a
-        assert max(partners) == (a * a - 1) // 2, a
+    result = check_decompositions(200)
+    assert result.ok, result.detail
 
 
 def test_corner_inequality_small():

@@ -27,6 +27,7 @@ from squarepoint.filters import (
 )
 from squarepoint.model import Candidate
 from squarepoint.search import enumerate_candidates
+from squarepoint.selfcheck import check_modes
 
 CFG = FilterConfig()
 
@@ -198,14 +199,8 @@ def test_three_distance_points_may_fall():
 
 
 def test_first_hit_and_full_agree():
-    cfg = FilterConfig()
-    for z in (36, 60, 72, 97):
-        for c in enumerate_candidates(z, dedup=True):
-            first = run_pipeline(c, cfg, FIRST_HIT)
-            full = run_pipeline(c, cfg, FULL)
-            assert first.survived == full.survived, c
-            if not first.survived:
-                assert first.eliminated_by is full.eliminated_by, c
+    result = check_modes((36, 60, 72, 97))
+    assert result.ok, result.detail
 
 
 def test_monotone_in_prime_lists():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from squarepoint import model, report, search
 from squarepoint.filters import FilterConfig, FilterId, filter_theorem5
 from squarepoint.model import Candidate
 from squarepoint.report import (
@@ -16,19 +17,12 @@ from squarepoint.report import (
     unavailable_lists,
 )
 from squarepoint.search import ScanRequest, oracle_scan, search_range, sieve_z
+from squarepoint.selfcheck import check_z60_lists
 
 
 def test_z60_golden_lists():
-    lists = unavailable_lists(60)
-    assert lists.theorem3_x.combined == (
-        1, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 49, 53, 55, 57, 59
-    )
-    assert lists.theorem5_y.direct == (4, 8, 16, 24, 32, 48)
-    assert lists.theorem5_y.combined == (
-        4, 8, 12, 16, 24, 28, 32, 36, 44, 48, 52, 56
-    )
-    assert lists.lemma3_y.combined == (20, 40)
-    assert {3, 5, 9, 25, 27} <= set(lists.theorem4_x.direct)
+    result = check_z60_lists()
+    assert result.ok, result.detail
 
 
 def test_lists_require_even_z():
@@ -139,3 +133,19 @@ def test_deterministic_bytes():
     a = serialize(sieve_z(96))
     b = serialize(sieve_z(96))
     assert a == b
+
+
+def test_each_survivor_profiled_once(monkeypatch):
+    calls = []
+
+    def counting_profile(c):
+        calls.append(c)
+        return model.distance_profile(c)
+
+    monkeypatch.setattr(search, "distance_profile", counting_profile)
+    monkeypatch.setattr(report, "distance_profile", counting_profile)
+    result = sieve_z(120, FilterConfig.only(FilterId.THEOREM3))
+    for fmt in ("json", "csv", "text"):
+        serialize(result, fmt)
+    assert len(result.survivors) == 407
+    assert len(calls) <= 407

@@ -12,6 +12,7 @@ from squarepoint.search import (
     search_range,
     sieve_z,
 )
+from squarepoint.selfcheck import check_witnesses
 
 
 def naive_scan_hits(z_max, min_count):
@@ -198,8 +199,6 @@ def test_search_range_worker_failure_aborts():
 
 def test_oracle_hits_survive_sieve():
     # filters never kill an oracle-certified four-distance point (vacuous so
-    # far) nor, at these z, the best three-distance survivors they protect
-    hits = oracle_scan(ScanRequest(z_min=1, z_max=200, min_count=4)).hits
-    for hit in hits:
-        survivors = {s.candidate for s in sieve_z(hit.candidate.z).survivors}
-        assert hit.candidate in survivors
+    # far), and every elimination witness on the way re-validates
+    result = check_witnesses(200)
+    assert result.ok, result.detail
