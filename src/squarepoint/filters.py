@@ -11,7 +11,7 @@ known three-distance point is legitimate.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -81,41 +81,29 @@ class Attribution(NamedTuple):
         return self.eliminated_by is None
 
 
-@lru_cache(maxsize=32)
-def _check_nonresidue_primes(primes: tuple[int, ...]) -> None:
-    for p in primes:
-        if not is_prime(p) or p % 2 == 0 or jacobi(2, p) != -1:
-            raise ValueError(f"{p} is not an odd prime with (2/p) = -1")
-
-
-def _default_primes() -> tuple[int, ...]:
-    return two_nonresidue_primes(100)
+# The congruence and prime-power conditions (theorem2, theorem4) quantify
+# over every prime p with (2/p) = -1, and Lemma 3 over every n with n and
+# n*n + 4 prime.  The sieve truncates both, which only weakens elimination,
+# never falsifies it.
+NONRESIDUE_PRIMES = two_nonresidue_primes(100)
+LEMMA3_BOUND = 10_000
 
 
 @dataclass(frozen=True)
 class FilterConfig:
-    """Which filters run and with which (finite) prime lists.
-
-    The congruence and prime-power conditions quantify over all primes p
-    with (2/p) = -1; a sieve must truncate the list, which only weakens
-    elimination, never falsifies it.
-    """
+    """Which filters run."""
 
     enabled: frozenset[FilterId] = frozenset(FilterId)
-    theorem2_primes: tuple[int, ...] = field(default_factory=_default_primes)
-    theorem4_primes: tuple[int, ...] = field(default_factory=_default_primes)
-    lemma3_bound: int = 10_000
 
     def __post_init__(self):
         object.__setattr__(self, "enabled", frozenset(self.enabled))
-        object.__setattr__(self, "theorem2_primes", tuple(self.theorem2_primes))
-        object.__setattr__(self, "theorem4_primes", tuple(self.theorem4_primes))
-        _check_nonresidue_primes(self.theorem2_primes)
-        _check_nonresidue_primes(self.theorem4_primes)
+        unknown = [f for f in self.enabled if not isinstance(f, FilterId)]
+        if unknown:
+            raise ValueError(f"unknown filter ids: {', '.join(sorted(map(repr, unknown)))}")
 
     @classmethod
-    def only(cls, *filter_ids: FilterId, **kwargs) -> "FilterConfig":
-        return cls(enabled=frozenset(filter_ids), **kwargs)
+    def only(cls, *filter_ids: FilterId) -> "FilterConfig":
+        return cls(enabled=frozenset(filter_ids))
 
 
 def filter_boundary(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
@@ -133,22 +121,23 @@ def filter_boundary(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
 
 
 @lru_cache(maxsize=1 << 12)
-def lemma3_divisors(z: int, bound: int) -> frozenset[int]:
-    """Divisors d of z (0 < d < z) with n = z/d and n*n + 4 both prime."""
+def lemma3_divisors(z: int) -> frozenset[int]:
+    """Divisors d of z (0 < d < z) with n = z/d <= LEMMA3_BOUND and n and
+    n*n + 4 both prime."""
     out = set()
     for d in divisors(z):
         if d == z:
             continue
         n = z // d
-        if n <= bound and is_prime(n) and is_prime(n * n + 4):
+        if n <= LEMMA3_BOUND and is_prime(n) and is_prime(n * n + 4):
             out.add(d)
     return frozenset(out)
 
 
-def filter_lemma3(c: Candidate, cfg: FilterConfig) -> Verdict:
+def filter_lemma3(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
     """No side distance d may satisfy z = n*d with n and n*n + 4 both prime."""
     x, y, z = c
-    dangerous = lemma3_divisors(z, cfg.lemma3_bound)
+    dangerous = lemma3_divisors(z)
     for side, d in (("x", x), ("y", y), ("z-x", z - x), ("z-y", z - y)):
         if d in dangerous:
             n = z // d
@@ -212,15 +201,14 @@ def filter_theorem1(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
     return UNDECIDED
 
 
-def filter_theorem2(c: Candidate, cfg: FilterConfig) -> Verdict:
+def filter_theorem2(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
     """No corner's legs may be congruent mod a prime p with (2/p) = -1.
 
     The four corner pairs collapse to two congruences: x = y and
     x + y = z (mod p).
     """
-    _check_nonresidue_primes(cfg.theorem2_primes)
     x, y, z = c
-    for p in cfg.theorem2_primes:
+    for p in NONRESIDUE_PRIMES:
         if (x - y) % p == 0:
             return Verdict(
                 FilterId.THEOREM2,
@@ -246,20 +234,19 @@ def filter_theorem3(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
     return UNDECIDED
 
 
-def theorem4_root(t: int, primes: tuple[int, ...]) -> tuple[int, int] | None:
-    """(p, e) with t = p**e for odd t and p in primes; otherwise None."""
+def theorem4_root(t: int) -> tuple[int, int] | None:
+    """(p, e) with t = p**e for odd t and p in NONRESIDUE_PRIMES; otherwise None."""
     if t < 2 or t % 2 == 0:
         return None
     root = prime_power_root(t)
-    return root if root is not None and root[0] in primes else None
+    return root if root is not None and root[0] in NONRESIDUE_PRIMES else None
 
 
-def filter_theorem4(c: Candidate, cfg: FilterConfig) -> Verdict:
-    """Neither x nor z - x may be p**e for a configured prime with (2/p) = -1."""
-    _check_nonresidue_primes(cfg.theorem4_primes)
+def filter_theorem4(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
+    """Neither x nor z - x may be p**e for a prime in NONRESIDUE_PRIMES."""
     x, _, z = c
     for side, t in (("x", x), ("z-x", z - x)):
-        root = theorem4_root(t, cfg.theorem4_primes)
+        root = theorem4_root(t)
         if root is not None:
             return Verdict(
                 FilterId.THEOREM4,
@@ -428,15 +415,13 @@ def run_pipeline(c: Candidate, cfg: FilterConfig, mode: str = FIRST_HIT) -> Attr
     return Attribution(c, tuple(entries))
 
 
-def full_attribution(c: Candidate, cfg: FilterConfig) -> Attribution:
-    """Full-mode verdicts of every filter (ignoring cfg.enabled), so that
-    reports can explain near-misses of survivors."""
-    return run_pipeline(c, _all_enabled(cfg), FULL)
+_ALL_FILTERS = FilterConfig()
 
 
-@lru_cache(maxsize=32)
-def _all_enabled(cfg: FilterConfig) -> FilterConfig:
-    return replace(cfg, enabled=frozenset(FilterId))
+def full_attribution(c: Candidate) -> Attribution:
+    """Full-mode verdicts of every filter, whichever ran in the sieve, so
+    that reports can explain near-misses of survivors."""
+    return run_pipeline(c, _ALL_FILTERS, FULL)
 
 
 def recheck_witness(c: Candidate, fid: FilterId, witness: dict) -> bool:

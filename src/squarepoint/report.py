@@ -17,7 +17,6 @@ from typing import NamedTuple, Sequence
 from .arith import is_prime
 from .filters import (
     Attribution,
-    FilterConfig,
     FilterId,
     Verdict,
     lemma3_divisors,
@@ -72,17 +71,16 @@ def _with_reflection(z: int, direct: list[int]) -> ValueLists:
     )
 
 
-def unavailable_lists(z: int, cfg: FilterConfig | None = None) -> UnavailableLists:
+def unavailable_lists(z: int) -> UnavailableLists:
     if z < 2 or z % 2:
         raise ValueError("unavailable lists are defined for even z >= 2")
-    cfg = cfg if cfg is not None else FilterConfig()
 
     t3 = [x for x in range(1, z, 2) if is_prime(x)]
-    t4 = [x for x in range(1, z, 2) if theorem4_root(x, cfg.theorem4_primes)]
+    t4 = [x for x in range(1, z, 2) if theorem4_root(x)]
     t5 = [y for y in range(2, z, 2) if theorem5_shape(y) is not None]
     t5_lists = _with_reflection(z, t5)
 
-    dangerous = lemma3_divisors(z, cfg.lemma3_bound)
+    dangerous = lemma3_divisors(z)
     l3 = [
         y
         for y in range(2, z, 2)

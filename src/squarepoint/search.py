@@ -209,7 +209,7 @@ def sieve_z(z: int, cfg: FilterConfig | None = None, mode: str = FIRST_HIT) -> S
         attribution = run_pipeline(c, cfg, mode)
         hit = attribution.eliminated_by
         if hit is None:
-            survivors.append(Survivor(c, full_attribution(c, cfg), distance_profile(c)))
+            survivors.append(Survivor(c, full_attribution(c), distance_profile(c)))
         else:
             counts[hit] += 1
     max_count = max((s.profile.integer_count for s in survivors), default=None)

@@ -7,6 +7,7 @@ from squarepoint.arith import is_prime
 from squarepoint.filters import (
     FIRST_HIT,
     FULL,
+    NONRESIDUE_PRIMES,
     FilterConfig,
     FilterId,
     filter_boundary,
@@ -19,10 +20,12 @@ from squarepoint.filters import (
     filter_theorem4,
     filter_theorem5,
     filter_theorem6,
+    lemma3_divisors,
     recheck_witness,
     run_pipeline,
     shape5_prime_allowed,
     shape5_prime_allowed_literal,
+    theorem4_root,
     theorem5_shape,
 )
 from squarepoint.model import Candidate
@@ -49,9 +52,11 @@ def test_lemma3():
     assert not filter_lemma3(Candidate(7, 24, 52), CFG).eliminated
 
 
-def test_lemma3_respects_bound():
-    tight = FilterConfig(lemma3_bound=2)
-    assert not filter_lemma3(Candidate(13, 20, 60), tight).eliminated
+def test_lemma3_bound_is_fixed():
+    assert lemma3_divisors(13) == {1}  # 13 and 13**2 + 4 = 173 are prime
+    # 10037 and 10037**2 + 4 are prime, but n = 10037 exceeds the bound
+    assert lemma3_divisors(10037) == set()
+    assert lemma3_divisors(3 * 10037) == {10037}
 
 
 def test_parity_residue():
@@ -80,23 +85,23 @@ def test_theorem1():
 def test_theorem2():
     v = filter_theorem2(Candidate(5, 8, 24), CFG)
     assert v.witness["p"] == 3 and v.witness["legs"] == [5, 8]
-    small = FilterConfig(theorem2_primes=(3, 5, 11, 13))
-    assert not filter_theorem2(Candidate(7, 24, 60), small).eliminated
+    v = filter_theorem2(Candidate(7, 24, 60), CFG)
+    assert (v.witness["p"], v.witness["corner"]) == (29, "B")  # 7 + 24 - 60 = -29
+    # 5 + 4 - 116 = -107 and (2/107) = -1, but 107 is above the truncation
+    assert not filter_theorem2(Candidate(5, 4, 116), CFG).eliminated
     assert filter_theorem2(Candidate(11, 11, 24), CFG).eliminated
 
 
 def test_theorem2_two_congruences_equal_four_corners():
-    primes = (3, 5, 11, 13)
-    cfg = FilterConfig(theorem2_primes=primes)
     for z in range(1, 301):
         for c in enumerate_candidates(z, dedup=True):
             x, y = c.x, c.y
             four_corners = any(
                 (a - b) % p == 0
-                for p in primes
+                for p in NONRESIDUE_PRIMES
                 for a, b in ((x, y), (x, z - y), (z - x, z - y), (z - x, y))
             )
-            assert filter_theorem2(c, cfg).eliminated == four_corners, c
+            assert filter_theorem2(c, CFG).eliminated == four_corners, c
 
 
 def test_theorem3():
@@ -158,13 +163,12 @@ def test_theorem6():
     assert not filter_theorem6(Candidate(15, 2, 64)).eliminated  # 49 = 7**2
 
 
-def test_config_rejects_bad_primes():
-    with pytest.raises(ValueError):
-        FilterConfig(theorem2_primes=(3, 7))  # (2/7) = +1
-    with pytest.raises(ValueError):
-        FilterConfig(theorem4_primes=(15,))  # composite
-    with pytest.raises(ValueError):
-        FilterConfig(theorem2_primes=(2,))
+def test_config_rejects_unknown_filter():
+    with pytest.raises(ValueError, match="'theorem3'"):
+        FilterConfig(enabled={"theorem3"})
+    with pytest.raises(ValueError, match="'theorem9'"):
+        FilterConfig.only(FilterId.THEOREM3, "theorem9")
+    assert FilterConfig(enabled=[FilterId.THEOREM3]).enabled == {FilterId.THEOREM3}
 
 
 def test_pipeline_requires_primitive_interior():
@@ -203,12 +207,10 @@ def test_first_hit_and_full_agree():
     assert result.ok, result.detail
 
 
-def test_monotone_in_prime_lists():
-    small = FilterConfig(theorem2_primes=(3, 5), theorem4_primes=(3, 5))
-    for z in range(1, 121):
-        for c in enumerate_candidates(z, dedup=True):
-            if not run_pipeline(c, small, FIRST_HIT).survived:
-                assert not run_pipeline(c, CFG, FIRST_HIT).survived, c
+def test_prime_list_is_fixed():
+    assert NONRESIDUE_PRIMES == (3, 5, 11, 13, 19, 29, 37, 43, 53, 59, 61, 67, 83)
+    assert theorem4_root(83) == (83, 1)
+    assert theorem4_root(107) is None  # 107 = 3 (mod 8), above the truncation
 
 
 def test_witness_revalidation_moderate():

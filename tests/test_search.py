@@ -2,6 +2,7 @@
 
 import pytest
 
+from squarepoint import filters
 from squarepoint.filters import FilterConfig, FilterId
 from squarepoint.model import Candidate, canonicalize, distance_profile, orbit
 from squarepoint.search import (
@@ -185,16 +186,14 @@ def test_search_range_validation_and_budget():
         search_range(1, 100, budget=10**3)
 
 
-def test_search_range_worker_failure_aborts():
-    bad = object.__new__(FilterConfig)  # bypass validation on purpose
-    object.__setattr__(bad, "enabled", frozenset(FilterId))
-    object.__setattr__(bad, "theorem2_primes", (7,))  # (2/7) = +1
-    object.__setattr__(bad, "theorem4_primes", ())
-    object.__setattr__(bad, "lemma3_bound", 10_000)
-    # only z = 60 reaches theorem2 (parity_residue rules out z % 12 != 0)
+def test_search_range_worker_failure_aborts(monkeypatch):
+    # p = 0 makes theorem2 divide by zero; workers started by fork (the
+    # Linux default before Python 3.14) inherit the patch.
+    # Only z = 60 reaches theorem2 (parity_residue rules out z % 12 != 0).
+    monkeypatch.setattr(filters, "NONRESIDUE_PRIMES", (0,))
     for workers in (1, 2):
         with pytest.raises(RuntimeError, match="z=60"):
-            search_range(50, 60, bad, workers=workers)
+            search_range(50, 60, workers=workers)
 
 
 def test_oracle_hits_survive_sieve():
