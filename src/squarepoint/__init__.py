@@ -18,7 +18,6 @@ from .arith import (
 )
 from .filters import (
     FIRST_HIT,
-    FULL,
     Attribution,
     FilterConfig,
     FilterId,
@@ -57,7 +56,6 @@ __all__ = [
     "CornerLegs",
     "DistanceProfile",
     "FIRST_HIT",
-    "FULL",
     "FilterConfig",
     "FilterId",
     "LegDecomposition",

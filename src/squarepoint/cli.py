@@ -13,8 +13,15 @@ import sys
 
 from .filters import FilterConfig, FilterId
 from .model import Candidate
-from .report import serialize, unavailable_lists
-from .search import BudgetExceededError, ScanRequest, oracle_scan, search_range, sieve_z
+from .report import FORMATS, serialize, unavailable_lists
+from .search import (
+    DEFAULT_BUDGET,
+    BudgetExceededError,
+    ScanRequest,
+    oracle_scan,
+    search_range,
+    sieve_z,
+)
 from .selfcheck import SUITES
 
 
@@ -32,7 +39,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_output_flags(p):
-        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+        p.add_argument("--format", choices=FORMATS, default="text")
         p.add_argument("--out", help="write output to this path instead of stdout")
 
     p = sub.add_parser("sieve", help="filter all candidates at one side length")
@@ -64,7 +71,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--include-boundary", action="store_true")
     p.add_argument("--all-points", action="store_true",
                    help="include non-primitive points")
-    p.add_argument("--budget", type=int, default=10**9)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     add_output_flags(p)
 
     p = sub.add_parser("lists", help="values ruled out for x and y at one side")
@@ -88,8 +95,11 @@ def _parse_filters(raw: str) -> frozenset[FilterId]:
 
 def _emit(data: bytes, out: str | None) -> None:
     if out:
-        with open(out, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(out, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {out}: {exc.strerror}") from exc
     else:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()

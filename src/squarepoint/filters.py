@@ -26,7 +26,6 @@ from .arith import (
 from .model import CORNERS, Candidate, corner_legs, is_primitive_interior
 
 FIRST_HIT = "first"
-FULL = "full"
 
 
 class FilterId(enum.Enum):
@@ -59,14 +58,12 @@ UNDECIDED = Verdict(None, None)
 
 
 class Attribution(NamedTuple):
-    """Pipeline outcome for one candidate.
+    """(filter, verdict) pairs for one candidate, in FilterId order.
 
-    In first-hit mode `entries` holds at most the eliminating
-    (filter, verdict) pair; in full mode it holds one pair per evaluated
-    filter.  Both modes agree on survival.
+    From run_pipeline, at most the eliminating pair; from full_attribution,
+    one pair per filter.
     """
 
-    candidate: Candidate
     entries: tuple[tuple[FilterId, Verdict], ...]
 
     @property
@@ -395,33 +392,24 @@ def _enabled_in_order(enabled: frozenset) -> tuple[tuple[FilterId, Callable], ..
 
 
 def run_pipeline(c: Candidate, cfg: FilterConfig, mode: str = FIRST_HIT) -> Attribution:
-    """Evaluate the enabled filters on a primitive interior candidate.
-
-    First-hit mode stops at the first elimination (filters run in FilterId
-    order); full mode records every enabled filter's verdict.
-    """
-    if mode not in (FIRST_HIT, FULL):
+    """Evaluate the enabled filters on a primitive interior candidate in
+    FilterId order, stopping at the first elimination.  FIRST_HIT is the
+    only mode."""
+    if mode != FIRST_HIT:
         raise ValueError(f"unknown pipeline mode {mode!r}")
     if not is_primitive_interior(c):
         raise ValueError(f"candidate {c} is not primitive interior")
-    entries = []
     for fid, func in _enabled_in_order(cfg.enabled):
         verdict = func(c, cfg)
-        if mode == FIRST_HIT:
-            if verdict.eliminated:
-                return Attribution(c, ((fid, verdict),))
-        else:
-            entries.append((fid, verdict))
-    return Attribution(c, tuple(entries))
-
-
-_ALL_FILTERS = FilterConfig()
+        if verdict.eliminated:
+            return Attribution(((fid, verdict),))
+    return Attribution(())
 
 
 def full_attribution(c: Candidate) -> Attribution:
-    """Full-mode verdicts of every filter, whichever ran in the sieve, so
-    that reports can explain near-misses of survivors."""
-    return run_pipeline(c, _ALL_FILTERS, FULL)
+    """Every filter's verdict, whichever ran in the sieve, so that reports
+    can explain near-misses of survivors."""
+    return Attribution(tuple((fid, _FILTER_FUNCS[fid](c)) for fid in FilterId))
 
 
 def recheck_witness(c: Candidate, fid: FilterId, witness: dict) -> bool:

@@ -16,6 +16,7 @@ from typing import NamedTuple, Sequence
 
 from .arith import is_prime
 from .filters import (
+    UNDECIDED,
     Attribution,
     FilterId,
     Verdict,
@@ -30,16 +31,10 @@ FORMATS = ("json", "csv", "text")
 
 # human labels for the text renderer, for traceability of each list
 _SOURCE_LABELS = {
-    FilterId.BOUNDARY: "Lemmas 1-2",
     FilterId.LEMMA3: "Lemma 3",
-    FilterId.PARITY_RESIDUE: "parity and residue constraints",
-    FilterId.THEOREM1: "Theorem 1",
-    FilterId.THEOREM2: "Theorem 2",
     FilterId.THEOREM3: "Theorem 3",
     FilterId.THEOREM4: "Theorem 4",
     FilterId.THEOREM5: "Theorem 5",
-    FilterId.COROLLARY52: "Corollaries 5.2-5.3",
-    FilterId.THEOREM6: "Theorem 6",
 }
 
 
@@ -212,15 +207,13 @@ def _load(data: bytes | str | dict) -> dict:
     return data
 
 
-def _attribution_from_list(c: Candidate, entries: list[dict]) -> Attribution:
+def _attribution_from_list(entries: list[dict]) -> Attribution:
     parsed = []
     for entry in entries:
         fid = FilterId(entry["filter"])
-        if entry["eliminated"]:
-            parsed.append((fid, Verdict(fid, entry["witness"])))
-        else:
-            parsed.append((fid, Verdict(None, None)))
-    return Attribution(c, tuple(parsed))
+        verdict = Verdict(fid, entry["witness"]) if entry["eliminated"] else UNDECIDED
+        parsed.append((fid, verdict))
+    return Attribution(tuple(parsed))
 
 
 def parse_sieve_result(data: bytes | str | dict) -> SieveResult:
@@ -229,7 +222,7 @@ def parse_sieve_result(data: bytes | str | dict) -> SieveResult:
     survivors = []
     for s in obj["survivors"]:
         c = Candidate(s["x"], s["y"], z)
-        attribution = _attribution_from_list(c, s["attribution"])
+        attribution = _attribution_from_list(s["attribution"])
         survivors.append(Survivor(c, attribution, distance_profile(c)))
     return SieveResult(
         z=z,

@@ -196,10 +196,7 @@ def oracle_scan(req: ScanRequest) -> ScanReport:
 
 def sieve_z(z: int, cfg: FilterConfig | None = None, mode: str = FIRST_HIT) -> SieveResult:
     """Run the filter pipeline over every deduplicated primitive interior
-    candidate at side z; the oracle then profiles the survivors only.
-    The pipeline mode does not change the result."""
-    if z < 1:
-        raise ValueError("z must be positive")
+    candidate at side z; the oracle then profiles the survivors only."""
     cfg = cfg if cfg is not None else FilterConfig()
     counts = dict.fromkeys(FilterId, 0)
     survivors = []
@@ -256,7 +253,8 @@ def search_range(
     cfg = cfg if cfg is not None else FilterConfig()
     zs = _side_lengths(z_min, z_max, mod12_only, budget, False, "range")
     tasks = [(z, cfg) for z in zs]
-    if workers == 1:
+    workers = min(workers, len(tasks))
+    if workers <= 1:
         return [_sieve_task(t) for t in tasks]
     with multiprocessing.Pool(workers) as pool:
         return pool.map(_sieve_task, tasks)

@@ -112,6 +112,15 @@ def test_out_writes_file(tmp_path, capsys):
     assert path.read_bytes() == serialize(sieve_z(24), "json")
 
 
+def test_out_unwritable_path(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "sieve", "--z", "12", "--format", "json",
+                         "--out", str(path))
+    assert code == 1
+    assert "cannot write" in err
+    assert out == ""
+
+
 def test_verify_suites(capsys):
     for suite in ("arith", "paper"):
         code, out, _ = run(capsys, "verify", "--suite", suite)

@@ -1,12 +1,12 @@
-"""Filter behavior: per-filter examples, witness re-validation, pipeline
-modes, configuration validation, and the congruence-filter equivalence."""
+"""Filter behavior: per-filter examples, witness re-validation, the
+first-hit pipeline against full attribution, configuration validation, and
+the congruence-filter equivalence."""
 
 import pytest
 
 from squarepoint.arith import is_prime
 from squarepoint.filters import (
     FIRST_HIT,
-    FULL,
     NONRESIDUE_PRIMES,
     FilterConfig,
     FilterId,
@@ -20,6 +20,7 @@ from squarepoint.filters import (
     filter_theorem4,
     filter_theorem5,
     filter_theorem6,
+    full_attribution,
     lemma3_divisors,
     recheck_witness,
     run_pipeline,
@@ -30,7 +31,7 @@ from squarepoint.filters import (
 )
 from squarepoint.model import Candidate
 from squarepoint.search import enumerate_candidates
-from squarepoint.selfcheck import check_modes
+from squarepoint.selfcheck import check_first_hit
 
 CFG = FilterConfig()
 
@@ -178,13 +179,15 @@ def test_pipeline_requires_primitive_interior():
         run_pipeline(Candidate(14, 48, 104), CFG)
     with pytest.raises(ValueError):
         run_pipeline(Candidate(7, 24, 52), CFG, mode="bogus")
+    with pytest.raises(ValueError):
+        run_pipeline(Candidate(7, 24, 52), CFG, "full")
 
 
 def test_pipeline_first_hit_order():
     # boundary is evaluated first, whatever else would match
     att = run_pipeline(Candidate(30, 7, 60), CFG, FIRST_HIT)
     assert att.eliminated_by is FilterId.BOUNDARY
-    att = run_pipeline(Candidate(7, 24, 60), CFG, FULL)
+    att = full_attribution(Candidate(7, 24, 60))
     eliminating = {fid for fid, v in att.entries if v.eliminated}
     assert FilterId.THEOREM3 in eliminating
 
@@ -192,7 +195,7 @@ def test_pipeline_first_hit_order():
 def test_pipeline_full_verdicts_frozen_example():
     # (25, 36, 60): x = y (mod 11), x = 5**2, and z - y = 24 has the
     # power-of-two shape; nothing else applies.
-    att = run_pipeline(Candidate(25, 36, 60), CFG, FULL)
+    att = full_attribution(Candidate(25, 36, 60))
     eliminating = {fid for fid, v in att.entries if v.eliminated}
     assert eliminating == {FilterId.THEOREM2, FilterId.THEOREM4, FilterId.THEOREM5}
 
@@ -203,7 +206,7 @@ def test_three_distance_points_may_fall():
 
 
 def test_first_hit_and_full_agree():
-    result = check_modes((36, 60, 72, 97))
+    result = check_first_hit((36, 60, 72, 97))
     assert result.ok, result.detail
 
 
@@ -217,7 +220,7 @@ def test_witness_revalidation_moderate():
     checked = 0
     for z in range(1, 201):
         for c in enumerate_candidates(z, dedup=True):
-            att = run_pipeline(c, CFG, FULL)
+            att = full_attribution(c)
             for fid, v in att.entries:
                 if v.eliminated:
                     checked += 1

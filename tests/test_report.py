@@ -78,7 +78,7 @@ def test_json_roundtrip_randomized_sieves():
             fid for fid in ids if rng.random() < 0.7
         ) or frozenset({FilterId.BOUNDARY})
         cfg = FilterConfig(enabled=enabled)
-        result = sieve_z(z, cfg, mode=rng.choice(("first", "full")))
+        result = sieve_z(z, cfg)
         assert parse_sieve_result(serialize(result)) == result
 
 

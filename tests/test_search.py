@@ -1,5 +1,7 @@
 """Enumeration, oracle scan, sieve and parallel range search."""
 
+import multiprocessing
+
 import pytest
 
 from squarepoint import filters
@@ -184,6 +186,33 @@ def test_search_range_validation_and_budget():
         search_range(1, 10, workers=0)
     with pytest.raises(BudgetExceededError):
         search_range(1, 100, budget=10**3)
+
+
+def test_search_range_starts_no_idle_workers(monkeypatch):
+    # a fake pool records the process count it is asked for and maps
+    # serially, so no process is started
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            requested.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, tasks):
+            return [func(t) for t in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    assert search_range(60, 60, workers=64) == [sieve_z(60)]
+    assert search_range(13, 23, workers=4, mod12_only=True) == []
+    assert requested == []
+    results = search_range(48, 60, workers=64)
+    assert requested == [13]
+    assert [r.z for r in results] == list(range(48, 61))
 
 
 def test_search_range_worker_failure_aborts(monkeypatch):
