@@ -10,7 +10,6 @@ from .arith import (
     is_prime,
     isqrt,
     jacobi,
-    lemma3_multipliers,
     odd_leg_decompositions,
     prime_power_root,
     pythagorean_partners,
@@ -73,7 +72,6 @@ __all__ = [
     "is_primitive_interior",
     "isqrt",
     "jacobi",
-    "lemma3_multipliers",
     "odd_leg_decompositions",
     "oracle_scan",
     "orbit",

@@ -227,14 +227,6 @@ def two_nonresidue_primes(bound: int) -> tuple[int, ...]:
     return tuple(p for p in _primes_upto(bound) if p % 2 and jacobi(2, p) == -1)
 
 
-@lru_cache(maxsize=64)
-def lemma3_multipliers(bound: int) -> tuple[int, ...]:
-    """All n <= bound with n and n*n + 4 both prime, ascending."""
-    if bound < 2:
-        raise ValueError("lemma3_multipliers requires bound >= 2")
-    return tuple(n for n in range(2, bound + 1) if is_prime(n) and is_prime(n * n + 4))
-
-
 def odd_leg_decompositions(a: int) -> set[LegDecomposition]:
     """Every (k, u, v) with k*(u**2 - v**2) == a under the LegDecomposition invariants.
 

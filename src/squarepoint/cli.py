@@ -55,6 +55,8 @@ def _build_parser() -> _Parser:
                    help="only sieve z divisible by 12")
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--filters", default="all")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="most candidate pairs the range may hold")
     add_output_flags(p)
 
     p = sub.add_parser("distances", help="corner distances of one point")
@@ -121,7 +123,7 @@ def _cmd_search(args) -> int:
         raise UsageError("--threads must be positive")
     cfg = FilterConfig(enabled=_parse_filters(args.filters))
     results = search_range(args.z_min, args.z_max, cfg, workers=args.threads,
-                           mod12_only=args.mod12_only)
+                           mod12_only=args.mod12_only, budget=args.budget)
     _emit(serialize(results, args.format), args.out)
     return 0
 

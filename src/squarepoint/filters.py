@@ -103,16 +103,22 @@ class FilterConfig:
         return cls(enabled=frozenset(filter_ids))
 
 
+def boundary_tag(x: int, y: int, z: int) -> str | None:
+    """Which boundary line (x, y) lies on at side z, or None."""
+    if x == 0 or x == z or y == 0 or y == z:
+        return "edge"
+    if 2 * x == z or 2 * y == z:
+        return "midline"
+    if x == y or x + y == z:
+        return "diagonal"
+    return None
+
+
 def filter_boundary(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
     """Edges, midlines and diagonals carry no four-distance point."""
     x, y, z = c
-    if x == 0 or x == z or y == 0 or y == z:
-        tag = "edge"
-    elif 2 * x == z or 2 * y == z:
-        tag = "midline"
-    elif x == y or x + y == z:
-        tag = "diagonal"
-    else:
+    tag = boundary_tag(x, y, z)
+    if tag is None:
         return UNDECIDED
     return Verdict(FilterId.BOUNDARY, {"kind": "boundary", "tag": tag})
 
@@ -144,79 +150,111 @@ def filter_lemma3(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
     return UNDECIDED
 
 
+def parity_clause(x: int, y: int, z: int) -> str | None:
+    """The first parity or residue clause (x, y) violates at side z, or None.
+
+    The mod-3 clause is reached only when 3 divides z.  Then the legs of
+    every corner are congruent to (+-x, +-y) mod 3, so one corner lacks a
+    leg divisible by 3 exactly when corner A does.
+    """
+    if x % 2 == y % 2:
+        return "one_odd_one_even"
+    if (y if x % 2 else x) % 4:
+        return "even_coordinate_mod_4"
+    if z % 12:
+        return "side_mod_12"
+    if x % 3 and y % 3:
+        return "corner_mod_3"
+    return None
+
+
 def filter_parity_residue(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
     """Parity and residue constraints: one coordinate odd, the even one a
     multiple of 4, z a multiple of 12, and every corner owning a leg
     divisible by 3 (otherwise that squared distance is 2 mod 3).
     """
     x, y, z = c
-    if x % 2 == y % 2:
-        return Verdict(
-            FilterId.PARITY_RESIDUE, {"kind": "parity", "clause": "one_odd_one_even"}
-        )
-    even = y if x % 2 else x
-    if even % 4:
-        return Verdict(
-            FilterId.PARITY_RESIDUE,
-            {"kind": "parity", "clause": "even_coordinate_mod_4", "value": even},
-        )
-    if z % 12:
-        return Verdict(
-            FilterId.PARITY_RESIDUE, {"kind": "parity", "clause": "side_mod_12"}
-        )
-    for corner, (a, b) in zip(CORNERS, corner_legs(c)):
-        if a % 3 and b % 3:
-            return Verdict(
-                FilterId.PARITY_RESIDUE,
-                {
-                    "kind": "parity",
-                    "clause": "corner_mod_3",
-                    "corner": corner,
-                    "legs": [a, b],
-                },
-            )
-    return UNDECIDED
+    clause = parity_clause(x, y, z)
+    if clause is None:
+        return UNDECIDED
+    witness = {"kind": "parity", "clause": clause}
+    if clause == "even_coordinate_mod_4":
+        witness["value"] = y if x % 2 else x
+    elif clause == "corner_mod_3":
+        witness.update(corner="A", legs=[x, y])
+    return Verdict(FilterId.PARITY_RESIDUE, witness)
+
+
+_LEG_NAMES = (("x", "y"), ("x", "z-y"), ("z-x", "z-y"), ("z-x", "y"))
+
+
+def theorem1_failure(x: int, y: int, z: int) -> tuple[str, str, int, int] | None:
+    """(corner, leg, lhs, rhs) of the first corner inequality a*a >= 2b+1
+    that (x, y) breaks at side z, in corner then leg order; None if none."""
+    # a leg whose square is at least 2z - 1 exceeds twice any other leg
+    if min(x, y, z - x, z - y) ** 2 >= 2 * z - 1:
+        return None
+    legs = ((x, y), (x, z - y), (z - x, z - y), (z - x, y))
+    for corner, (a, b), (na, nb) in zip(CORNERS, legs, _LEG_NAMES):
+        for leg, val, other in ((na, a, b), (nb, b, a)):
+            if val * val < 2 * other + 1:
+                return corner, leg, val * val, 2 * other + 1
+    return None
 
 
 def filter_theorem1(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
     """At each corner with legs (a, b): a*a >= 2b+1 and b*b >= 2a+1, because
     the corner distance is an integer exceeding both legs."""
-    names = (("x", "y"), ("x", "z-y"), ("z-x", "z-y"), ("z-x", "y"))
-    for corner, (a, b), (na, nb) in zip(CORNERS, corner_legs(c), names):
-        for leg, val, other in ((na, a, b), (nb, b, a)):
-            if val * val < 2 * other + 1:
-                return Verdict(
-                    FilterId.THEOREM1,
-                    {
-                        "kind": "inequality",
-                        "corner": corner,
-                        "leg": leg,
-                        "lhs": val * val,
-                        "rhs": 2 * other + 1,
-                    },
-                )
-    return UNDECIDED
+    x, y, z = c
+    failure = theorem1_failure(x, y, z)
+    if failure is None:
+        return UNDECIDED
+    corner, leg, lhs, rhs = failure
+    return Verdict(
+        FilterId.THEOREM1,
+        {"kind": "inequality", "corner": corner, "leg": leg, "lhs": lhs, "rhs": rhs},
+    )
+
+
+def theorem2_congruence(x: int, y: int, z: int) -> tuple[int, str] | None:
+    """(p, corner) for the smallest p in NONRESIDUE_PRIMES with x = y (corner
+    A) or x + y = z (corner B) mod p, A on a tie; None if there is none."""
+    for p in NONRESIDUE_PRIMES:
+        if (x - y) % p == 0:
+            return p, "A"
+        if (x + y - z) % p == 0:
+            return p, "B"
+    return None
 
 
 def filter_theorem2(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
     """No corner's legs may be congruent mod a prime p with (2/p) = -1.
 
-    The four corner pairs collapse to two congruences: x = y and
-    x + y = z (mod p).
+    The four corner pairs collapse to two congruences: A's legs (x, y) and
+    C's legs (z - x, z - y) are congruent iff x = y (mod p), B's legs
+    (x, z - y) and D's legs (z - x, y) iff x + y = z (mod p).  Legs a = b
+    (mod p) with p not dividing a give a*a + b*b = 2a*a (mod p), a
+    non-residue because (2/p) = -1, so that distance is not an integer.
+
+    The witness cites A or B with its legs.  If p divides both of them, the
+    paired corner (A with C, B with D) proves the claim instead: its legs
+    are congruent to (z, z) mod p, and p does not divide z because the
+    candidate is primitive (p would divide x, y and z).
     """
     x, y, z = c
-    for p in NONRESIDUE_PRIMES:
-        if (x - y) % p == 0:
-            return Verdict(
-                FilterId.THEOREM2,
-                {"kind": "congruence", "p": p, "corner": "A", "legs": [x, y]},
-            )
-        if (x + y - z) % p == 0:
-            return Verdict(
-                FilterId.THEOREM2,
-                {"kind": "congruence", "p": p, "corner": "B", "legs": [x, z - y]},
-            )
-    return UNDECIDED
+    hit = theorem2_congruence(x, y, z)
+    if hit is None:
+        return UNDECIDED
+    p, corner = hit
+    legs = [x, y] if corner == "A" else [x, z - y]
+    return Verdict(
+        FilterId.THEOREM2, {"kind": "congruence", "p": p, "corner": corner, "legs": legs}
+    )
+
+
+def odd_prime(t: int) -> bool:
+    """The theorem3 test: t is an odd prime."""
+    return t % 2 == 1 and is_prime(t)
 
 
 def filter_theorem3(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
@@ -224,7 +262,7 @@ def filter_theorem3(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
     even partner (p*p - 1)/2 at two corners, putting the point on a midline."""
     x, _, z = c
     for side, t in (("x", x), ("z-x", z - x)):
-        if t % 2 and is_prime(t):
+        if odd_prime(t):
             return Verdict(
                 FilterId.THEOREM3, {"kind": "prime", "side": side, "value": t}
             )
@@ -303,40 +341,41 @@ def filter_theorem5(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
     return UNDECIDED
 
 
+@lru_cache(maxsize=1 << 16)
+def cor52_split(t: int) -> tuple[int, int, int, int] | None:
+    """(q1, q2, h, m) for the first split t = q1*q2 (q1 > q2 >= 1 odd, both
+    non-residue moduli for 2, q2 ascending) whose (q1**2 - q2**2)/4 = 2**h * m
+    passes the theorem5 shape test; None if no split does."""
+    if t < 3 or t % 2 == 0:
+        return None
+    for q2 in divisors(t):
+        q1 = t // q2
+        if q1 <= q2:
+            break
+        if jacobi(2, q2) != -1 or jacobi(2, q1) != -1:
+            continue
+        # (q1*q1 - q2*q2) // 4 = 2**h * m; reuse the y-shape test on its double
+        shape = theorem5_shape((q1 * q1 - q2 * q2) // 2)
+        if shape is not None:
+            return q1, q2, shape[0], shape[1]
+    return None
+
+
 def filter_cor52(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
     """Neither x nor z - x may split as q1*q2 (q1 > q2 >= 1 odd, both
     non-residue moduli for 2) with (q1**2 - q2**2)/4 passing the theorem5
     shape test; the split would force an excluded even partner."""
     x, _, z = c
     for target, t in (("x", x), ("z-x", z - x)):
-        if t < 3 or t % 2 == 0:
-            continue
-        for q2 in divisors(t):
-            q1 = t // q2
-            if q1 <= q2:
-                break
-            if jacobi(2, q2) != -1 or jacobi(2, q1) != -1:
-                continue
-            # (q1*q1 - q2*q2) // 4 = 2**h * m; reuse the y-shape test on its double
-            shape = theorem5_shape((q1 * q1 - q2 * q2) // 2)
-            if shape is not None:
-                h, m, _ = shape
-                return Verdict(
-                    FilterId.COROLLARY52,
-                    {
-                        "kind": "cor52",
-                        "target": target,
-                        "value": t,
-                        "q1": q1,
-                        "q2": q2,
-                        "h": h,
-                        "m": m,
-                    },
-                )
+        split = cor52_split(t)
+        if split is not None:
+            witness = {"kind": "cor52", "target": target, "value": t}
+            witness.update(zip(("q1", "q2", "h", "m"), split))
+            return Verdict(FilterId.COROLLARY52, witness)
     return UNDECIDED
 
 
-def _odd_semiprime(t: int) -> tuple[int, int] | None:
+def odd_semiprime(t: int) -> tuple[int, int] | None:
     """(p, q) with t = p*q, p > q distinct odd primes, both (2/.) = -1."""
     if t < 15 or t % 2 == 0:
         return None
@@ -354,22 +393,15 @@ def filter_theorem6(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
     are all non-residue moduli for 2: the forced even partners would make
     x = z - x, a midline point."""
     x, _, z = c
-    first = _odd_semiprime(x)
+    first = odd_semiprime(x)
     if first is None:
         return UNDECIDED
-    second = _odd_semiprime(z - x)
+    second = odd_semiprime(z - x)
     if second is None:
         return UNDECIDED
-    return Verdict(
-        FilterId.THEOREM6,
-        {
-            "kind": "theorem6",
-            "p1": first[0],
-            "p2": first[1],
-            "q1": second[0],
-            "q2": second[1],
-        },
-    )
+    witness = {"kind": "theorem6"}
+    witness.update(zip(("p1", "p2", "q1", "q2"), first + second))
+    return Verdict(FilterId.THEOREM6, witness)
 
 
 _FILTER_FUNCS: dict[FilterId, Callable[[Candidate, FilterConfig], Verdict]] = {
@@ -409,7 +441,7 @@ def run_pipeline(c: Candidate, cfg: FilterConfig, mode: str = FIRST_HIT) -> Attr
 def full_attribution(c: Candidate) -> Attribution:
     """Every filter's verdict, whichever ran in the sieve, so that reports
     can explain near-misses of survivors."""
-    return Attribution(tuple((fid, _FILTER_FUNCS[fid](c)) for fid in FilterId))
+    return Attribution(tuple([(fid, func(c)) for fid, func in _FILTER_FUNCS.items()]))
 
 
 def recheck_witness(c: Candidate, fid: FilterId, witness: dict) -> bool:
@@ -458,14 +490,20 @@ def recheck_witness(c: Candidate, fid: FilterId, witness: dict) -> bool:
             and val * val < 2 * other + 1
         )
     if fid is FilterId.THEOREM2 and kind == "congruence":
-        p = witness["p"]
-        a, b = _legs_at(c, witness["corner"])
-        return (
+        p, corner = witness["p"], witness["corner"]
+        a, b = _legs_at(c, corner)
+        if not (
             is_prime(p)
             and jacobi(2, p) == -1
             and [a, b] == witness["legs"]
             and (a - b) % p == 0
-        )
+        ):
+            return False
+        if a % p:
+            return True
+        # p divides both legs, so the paired corner must carry the proof
+        a, b = _legs_at(c, _PAIRED_CORNER[corner])
+        return (a - b) % p == 0 and a % p != 0
     if fid is FilterId.THEOREM3 and kind == "prime":
         t = witness["value"]
         return t == _side_value(c, witness["side"]) and t % 2 == 1 and is_prime(t)
@@ -514,6 +552,9 @@ def _recheck_shape(t: int, h: int, m: int) -> bool:
 
 def _side_value(c: Candidate, side: str) -> int | None:
     return {"x": c.x, "y": c.y, "z-x": c.z - c.x, "z-y": c.z - c.y}.get(side)
+
+
+_PAIRED_CORNER = {"A": "C", "C": "A", "B": "D", "D": "B"}
 
 
 def _legs_at(c: Candidate, corner: str) -> tuple[int, int]:

@@ -14,18 +14,10 @@ import json
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .arith import is_prime
-from .filters import (
-    UNDECIDED,
-    Attribution,
-    FilterId,
-    Verdict,
-    lemma3_divisors,
-    theorem4_root,
-    theorem5_shape,
-)
+from .filters import UNDECIDED, Attribution, FilterId, Verdict
 from .model import CORNERS, Candidate, DistanceProfile, distance_profile
 from .search import ScanHit, ScanReport, ScanRequest, SieveResult, Survivor
+from .tables import value_marks
 
 FORMATS = ("json", "csv", "text")
 
@@ -70,21 +62,16 @@ def unavailable_lists(z: int) -> UnavailableLists:
     if z < 2 or z % 2:
         raise ValueError("unavailable lists are defined for even z >= 2")
 
-    t3 = [x for x in range(1, z, 2) if is_prime(x)]
-    t4 = [x for x in range(1, z, 2) if theorem4_root(x)]
-    t5 = [y for y in range(2, z, 2) if theorem5_shape(y) is not None]
-    t5_lists = _with_reflection(z, t5)
+    def direct(fid: FilterId, values: range) -> list[int]:
+        marks = value_marks(z, fid)
+        return [v for v in values if marks[v]]
 
-    dangerous = lemma3_divisors(z)
-    l3 = [
-        y
-        for y in range(2, z, 2)
-        if y in dangerous and y not in t5_lists.combined
-    ]
+    t5_lists = _with_reflection(z, direct(FilterId.THEOREM5, range(1, z)))
+    l3 = [y for y in direct(FilterId.LEMMA3, range(2, z, 2)) if y not in t5_lists.combined]
     return UnavailableLists(
         z=z,
-        theorem3_x=_with_reflection(z, t3),
-        theorem4_x=_with_reflection(z, t4),
+        theorem3_x=_with_reflection(z, direct(FilterId.THEOREM3, range(1, z))),
+        theorem4_x=_with_reflection(z, direct(FilterId.THEOREM4, range(1, z))),
         theorem5_y=t5_lists,
         lemma3_y=_with_reflection(z, l3),
     )

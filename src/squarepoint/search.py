@@ -8,7 +8,6 @@ any worker count produces identical results.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterator, NamedTuple
@@ -19,8 +18,11 @@ from .filters import (
     Attribution,
     FilterConfig,
     FilterId,
+    boundary_tag,
     full_attribution,
-    run_pipeline,
+    parity_clause,
+    theorem1_failure,
+    theorem2_congruence,
 )
 from .model import (
     Candidate,
@@ -30,6 +32,7 @@ from .model import (
     distance_profile,
     orbit,
 )
+from .tables import POSITION, sieve_tables
 
 DEFAULT_BUDGET = 10**9
 
@@ -194,26 +197,64 @@ def oracle_scan(req: ScanRequest) -> ScanReport:
     return ScanReport(req, tuple(hits))
 
 
+# positions of the filters sieve_z tests before the axis tables
+_BOUNDARY, _LEMMA3, _PARITY, _THEOREM1, _THEOREM2 = (
+    POSITION[fid]
+    for fid in (FilterId.BOUNDARY, FilterId.LEMMA3, FilterId.PARITY_RESIDUE,
+                FilterId.THEOREM1, FilterId.THEOREM2)
+)
+
+
 def sieve_z(z: int, cfg: FilterConfig | None = None, mode: str = FIRST_HIT) -> SieveResult:
-    """Run the filter pipeline over every deduplicated primitive interior
-    candidate at side z; the oracle then profiles the survivors only."""
-    cfg = cfg if cfg is not None else FilterConfig()
-    counts = dict.fromkeys(FilterId, 0)
+    """Classify every deduplicated primitive interior candidate at side z by
+    the first enabled filter that rules it out; the oracle then profiles the
+    survivors only.
+
+    The pair conditions run as integer tests on (x, y, z) and the one-axis
+    conditions are table lookups (see tables.py), in FilterId order, so the
+    counts equal those of run_pipeline on each candidate.  Only survivors
+    become Candidates with verdicts; no witness is built for an eliminated
+    candidate.
+    """
+    if mode != FIRST_HIT:
+        raise ValueError(f"unknown pipeline mode {mode!r}")
+    if z < 1:
+        raise ValueError("z must be positive")
+    enabled = (cfg if cfg is not None else FilterConfig()).enabled
+    boundary = FilterId.BOUNDARY in enabled
+    parity = FilterId.PARITY_RESIDUE in enabled
+    theorem1 = FilterId.THEOREM1 in enabled
+    theorem2 = FilterId.THEOREM2 in enabled
+    lemma3, x_early, y_mid, x_late = sieve_tables(z, enabled)
+    counts = [0] * len(POSITION)
     survivors = []
     total = 0
-    for c in enumerate_candidates(z, dedup=True):
+    for x, y in canonical_interior_pairs(z):
+        if gcd(x, y, z) != 1:
+            continue
         total += 1
-        attribution = run_pipeline(c, cfg, mode)
-        hit = attribution.eliminated_by
-        if hit is None:
-            survivors.append(Survivor(c, full_attribution(c), distance_profile(c)))
+        if boundary and boundary_tag(x, y, z):
+            hit = _BOUNDARY
+        elif lemma3[x] or lemma3[y]:
+            hit = _LEMMA3
+        elif parity and parity_clause(x, y, z):
+            hit = _PARITY
+        elif theorem1 and theorem1_failure(x, y, z):
+            hit = _THEOREM1
+        elif theorem2 and theorem2_congruence(x, y, z):
+            hit = _THEOREM2
         else:
-            counts[hit] += 1
+            hit = x_early[x] or y_mid[y] or x_late[x]
+            if not hit:
+                c = Candidate(x, y, z)
+                survivors.append(Survivor(c, full_attribution(c), distance_profile(c)))
+                continue
+        counts[hit] += 1
     max_count = max((s.profile.integer_count for s in survivors), default=None)
     return SieveResult(
         z=z,
         candidates=total,
-        eliminated=tuple(counts.items()),
+        eliminated=tuple(zip(FilterId, counts)),
         survivors=tuple(survivors),
         max_count=max_count,
         witnesses=tuple(
@@ -256,5 +297,9 @@ def search_range(
     workers = min(workers, len(tasks))
     if workers <= 1:
         return [_sieve_task(t) for t in tasks]
+    # imported here, not at the top: the import takes about 13 ms, which
+    # every other CLI call would pay at start-up
+    import multiprocessing
+
     with multiprocessing.Pool(workers) as pool:
         return pool.map(_sieve_task, tasks)

@@ -92,6 +92,38 @@ def check_first_hit(zs: tuple[int, ...]) -> CheckResult:
     ])
 
 
+ALL_FILTERS = (FilterConfig(),)
+SINGLE_FILTERS = tuple(FilterConfig.only(fid) for fid in FilterId)
+
+
+def check_sieve_reference(z_max: int, cfgs: tuple[FilterConfig, ...]) -> CheckResult:
+    """The table-driven sieve_z equals a run_pipeline loop over each
+    candidate: candidate count, per-filter counts and survivors, at every
+    z <= z_max, for each config."""
+    failures = []
+    for cfg in cfgs:
+        for z in range(1, z_max + 1):
+            counts = dict.fromkeys(FilterId, 0)
+            survivors = []
+            total = 0
+            for c in enumerate_candidates(z, dedup=True):
+                total += 1
+                hit = run_pipeline(c, cfg).eliminated_by
+                if hit is None:
+                    survivors.append(c)
+                else:
+                    counts[hit] += 1
+            result = sieve_z(z, cfg)
+            if (
+                result.candidates != total
+                or dict(result.eliminated) != counts
+                or [s.candidate for s in result.survivors] != survivors
+            ):
+                failures.append((z, sorted(f.value for f in cfg.enabled)))
+    return _check(f"table sieve matches run_pipeline (z <= {z_max}, "
+                  f"filter configs: {len(cfgs)})", failures)
+
+
 def check_witnesses(z_max: int) -> CheckResult:
     """One first-hit pass over every z <= z_max: each elimination witness
     must re-validate, and every four-distance point the oracle finds must be
@@ -157,7 +189,12 @@ SUITES: dict[str, Callable[[], list[CheckResult]]] = {
         check_partners(80),
         check_decompositions(200),
     ],
-    "filters": lambda: [check_witnesses(150), check_first_hit((60, 84))],
+    "filters": lambda: [
+        check_witnesses(150),
+        check_first_hit((60, 84)),
+        check_sieve_reference(96, ALL_FILTERS),
+        check_sieve_reference(36, SINGLE_FILTERS),
+    ],
     "paper": lambda: [
         check_z60_lists(),
         check_z60_closes(),

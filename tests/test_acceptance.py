@@ -1,7 +1,7 @@
-"""Acceptance suite: eight gate criteria, each with an explicit bound and
+"""Acceptance suite: nine gate criteria, each with an explicit bound and
 time budget, printing one PASS line per criterion.
 
-Criteria 1, 2, 5 and 7 run the `verify` checks of squarepoint.selfcheck,
+Criteria 1, 2, 5, 7 and 9 run the `verify` checks of squarepoint.selfcheck,
 at larger bounds where a check has one.
 
 Run with `pytest tests/test_acceptance.py -v` (add -s to see the lines).
@@ -13,10 +13,13 @@ from math import gcd
 from squarepoint.report import serialize
 from squarepoint.search import ScanRequest, oracle_scan, search_range
 from squarepoint.selfcheck import (
+    ALL_FILTERS,
+    SINGLE_FILTERS,
     check_decompositions,
     check_jacobi,
     check_jacobi_of_two,
     check_partners,
+    check_sieve_reference,
     check_witnesses,
     check_z60_closes,
     check_z60_lists,
@@ -112,3 +115,11 @@ def test_criterion_8_worker_determinism():
     assert one == eight
     _report(8, "search_range(12, 240) is byte-identical for 1 and 8 workers",
             started, 600)
+
+
+def test_criterion_9_table_sieve_matches_pipeline():
+    started = time.monotonic()
+    full = check_sieve_reference(300, ALL_FILTERS)
+    single = check_sieve_reference(120, SINGLE_FILTERS)
+    _assert_ok(full, single)
+    _report(9, f"{full.name}; {single.name}", started, 120)

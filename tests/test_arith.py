@@ -19,7 +19,6 @@ from squarepoint.arith import (
     is_qr_bruteforce,
     isqrt,
     jacobi,
-    lemma3_multipliers,
     odd_leg_decompositions,
     prime_power_root,
     pythagorean_partners,
@@ -225,14 +224,6 @@ def test_two_nonresidue_primes():
     assert two_nonresidue_primes(3) == (3,)
     with pytest.raises(ValueError):
         two_nonresidue_primes(2)
-
-
-def test_lemma3_multipliers():
-    assert lemma3_multipliers(10) == (3, 5, 7)
-    assert lemma3_multipliers(15) == (3, 5, 7, 13)  # 13*13 + 4 = 173 prime
-    assert lemma3_multipliers(3) == (3,)
-    with pytest.raises(ValueError):
-        lemma3_multipliers(1)
 
 
 # ---------------------------------------------------------------------------

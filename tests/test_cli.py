@@ -60,6 +60,16 @@ def test_search_rejects_bad_range(capsys):
     assert code == 1 and "z-min" in err
 
 
+def test_search_budget(capsys):
+    # z = 12 holds (12 - 1)**2 = 121 candidate pairs
+    code, _, err = run(capsys, "search", "--z-min", "12", "--z-max", "12",
+                       "--budget", "120")
+    assert code == 2 and "budget" in err
+    code, out, _ = run(capsys, "search", "--z-min", "12", "--z-max", "12",
+                       "--budget", "121", "--format", "json")
+    assert code == 0 and json.loads(out)["results"][0]["z"] == 12
+
+
 def test_three_distance_finds_triples(capsys):
     code, out, _ = run(capsys, "three-distance", "--z-max", "60",
                        "--format", "json")

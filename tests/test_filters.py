@@ -93,6 +93,18 @@ def test_theorem2():
     assert filter_theorem2(Candidate(11, 11, 24), CFG).eliminated
 
 
+def test_theorem2_witness_paired_corner():
+    # 5 divides both legs of the cited corner B = (15, 20), and PB = 25;
+    # D's legs (21, 16) are congruent mod 5 and not divisible by it
+    c = Candidate(15, 16, 36)
+    v = filter_theorem2(c)
+    assert v.witness == {"kind": "congruence", "p": 5, "corner": "B", "legs": [15, 20]}
+    assert recheck_witness(c, FilterId.THEOREM2, v.witness)
+    # not primitive: D's legs (15, 15) are divisible by 5 too, so no corner proves it
+    forged = {"kind": "congruence", "p": 5, "corner": "B", "legs": [10, 10]}
+    assert not recheck_witness(Candidate(10, 15, 25), FilterId.THEOREM2, forged)
+
+
 def test_theorem2_two_congruences_equal_four_corners():
     for z in range(1, 301):
         for c in enumerate_candidates(z, dedup=True):

@@ -6,7 +6,14 @@ import random
 import pytest
 
 from squarepoint import model, report, search
-from squarepoint.filters import FilterConfig, FilterId, filter_theorem5
+from squarepoint.filters import (
+    FilterConfig,
+    FilterId,
+    filter_lemma3,
+    filter_theorem3,
+    filter_theorem4,
+    filter_theorem5,
+)
 from squarepoint.model import Candidate
 from squarepoint.report import (
     parse_scan_report,
@@ -45,15 +52,30 @@ def test_lists_sorted_dedup_and_parity():
             assert set(vl.combined) == set(vl.direct) | {z - v for v in vl.direct}
 
 
-def test_theorem5_list_matches_filter():
-    # combined list = the even y values the shape filter eliminates
-    for z in (48, 60, 120):
+def _lists_from_filter(func, z, values):
+    """(direct, combined) values v the filter rules out at (v, v, z): all of
+    them, and those whose witness cites v itself rather than z - v."""
+    direct, combined = [], []
+    for v in values:
+        verdict = func(Candidate(v, v, z))
+        if verdict.eliminated:
+            combined.append(v)
+            if verdict.witness.get("side", verdict.witness.get("target")) in ("x", "y"):
+                direct.append(v)
+    return tuple(direct), tuple(combined)
+
+
+def test_lists_match_filters():
+    for z in range(2, 201, 2):
         lists = unavailable_lists(z)
-        eliminated = {
-            y for y in range(2, z, 2)
-            if filter_theorem5(Candidate(1, y, z)).eliminated
-        }
-        assert eliminated == set(lists.theorem5_y.combined), z
+        odd, even = range(1, z, 2), range(2, z, 2)
+        assert lists.theorem3_x == _lists_from_filter(filter_theorem3, z, odd), z
+        assert lists.theorem4_x == _lists_from_filter(filter_theorem4, z, odd), z
+        assert lists.theorem5_y == _lists_from_filter(filter_theorem5, z, even), z
+        t5 = set(lists.theorem5_y.combined)
+        l3 = [tuple(v for v in vs if v not in t5)
+              for vs in _lists_from_filter(filter_lemma3, z, even)]
+        assert lists.lemma3_y == tuple(l3), z
 
 
 def test_json_roundtrips():

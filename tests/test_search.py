@@ -15,7 +15,12 @@ from squarepoint.search import (
     search_range,
     sieve_z,
 )
-from squarepoint.selfcheck import check_witnesses
+from squarepoint.selfcheck import (
+    ALL_FILTERS,
+    SINGLE_FILTERS,
+    check_sieve_reference,
+    check_witnesses,
+)
 
 
 def naive_scan_hits(z_max, min_count):
@@ -131,6 +136,22 @@ def test_sieve_small_goldens():
     assert counts == {"boundary": 4, "lemma3": 3, "parity_residue": 6}
     assert sieve_z(1).candidates == 0
     assert sieve_z(60).survivors == ()
+
+
+def test_sieve_z_rejects_unknown_mode():
+    for z in range(1, 5):
+        with pytest.raises(ValueError, match="mode"):
+            sieve_z(z, None, "full")
+    with pytest.raises(ValueError, match="positive"):
+        sieve_z(0)
+
+
+def test_sieve_matches_run_pipeline():
+    # z = 72 is the first side where the full sieve reaches theorem5, so the
+    # order of the axis tables matters from there on
+    for result in (check_sieve_reference(96, ALL_FILTERS),
+                   check_sieve_reference(36, SINGLE_FILTERS)):
+        assert result.ok, result.detail
 
 
 def test_sieve_counts_add_up():
