@@ -5,18 +5,15 @@ oracle to keep the filters honest.
 """
 
 from .arith import (
-    LegDecomposition,
     factorize,
     is_prime,
     isqrt,
     jacobi,
-    odd_leg_decompositions,
     prime_power_root,
     pythagorean_partners,
     two_nonresidue_primes,
 )
 from .filters import (
-    FIRST_HIT,
     Attribution,
     FilterConfig,
     FilterId,
@@ -26,7 +23,6 @@ from .filters import (
 )
 from .model import (
     Candidate,
-    CornerLegs,
     DistanceProfile,
     canonicalize,
     corner_legs,
@@ -52,12 +48,9 @@ __all__ = [
     "Attribution",
     "BudgetExceededError",
     "Candidate",
-    "CornerLegs",
     "DistanceProfile",
-    "FIRST_HIT",
     "FilterConfig",
     "FilterId",
-    "LegDecomposition",
     "ScanReport",
     "ScanRequest",
     "SieveResult",
@@ -72,7 +65,6 @@ __all__ = [
     "is_primitive_interior",
     "isqrt",
     "jacobi",
-    "odd_leg_decompositions",
     "oracle_scan",
     "orbit",
     "prime_power_root",

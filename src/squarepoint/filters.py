@@ -404,6 +404,28 @@ def filter_theorem6(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
     return Verdict(FilterId.THEOREM6, witness)
 
 
+_VALUE_TESTS = {
+    FilterId.THEOREM3: odd_prime,
+    FilterId.THEOREM4: theorem4_root,
+    FilterId.THEOREM5: theorem5_shape,
+    FilterId.COROLLARY52: cor52_split,
+    FilterId.THEOREM6: odd_semiprime,
+}
+
+
+def value_marks(z: int, fid: FilterId) -> bytes:
+    """marks[v] == 1 iff the per-value test of the one-axis filter fid holds
+    for v, 0 <= v <= z.
+
+    For lemma3 the test is membership in lemma3_divisors(z).
+    """
+    if fid is FilterId.LEMMA3:
+        dangerous = lemma3_divisors(z)
+        return bytes(v in dangerous for v in range(z + 1))
+    test = _VALUE_TESTS[fid]
+    return bytes(bool(test(v)) for v in range(z + 1))
+
+
 _FILTER_FUNCS: dict[FilterId, Callable[[Candidate, FilterConfig], Verdict]] = {
     FilterId.BOUNDARY: filter_boundary,
     FilterId.LEMMA3: filter_lemma3,

@@ -29,15 +29,6 @@ class Candidate(NamedTuple):
         return gcd(self.x, self.y, self.z) == 1
 
 
-class CornerLegs(NamedTuple):
-    """Axis-parallel leg pairs at each corner, in A, B, C, D order."""
-
-    a: tuple[int, int]
-    b: tuple[int, int]
-    c: tuple[int, int]
-    d: tuple[int, int]
-
-
 class DistanceProfile(NamedTuple):
     """Squared corner distances and their exact roots where square (A, B, C, D)."""
 
@@ -54,11 +45,11 @@ def _check_bounds(c: Candidate) -> None:
         raise ValueError(f"candidate {c} outside its square")
 
 
-def corner_legs(c: Candidate) -> CornerLegs:
+def corner_legs(c: Candidate) -> tuple[tuple[int, int], ...]:
     """Leg pairs (x,y), (x,z-y), (z-x,z-y), (z-x,y) at corners A, B, C, D."""
     _check_bounds(c)
     x, y, z = c
-    return CornerLegs((x, y), (x, z - y), (z - x, z - y), (z - x, y))
+    return (x, y), (x, z - y), (z - x, z - y), (z - x, y)
 
 
 def distance_profile(c: Candidate) -> DistanceProfile:

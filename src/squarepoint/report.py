@@ -14,10 +14,9 @@ import json
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .filters import UNDECIDED, Attribution, FilterId, Verdict
+from .filters import UNDECIDED, Attribution, FilterId, Verdict, value_marks
 from .model import CORNERS, Candidate, DistanceProfile, distance_profile
 from .search import ScanHit, ScanReport, ScanRequest, SieveResult, Survivor
-from .tables import value_marks
 
 FORMATS = ("json", "csv", "text")
 

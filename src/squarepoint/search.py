@@ -23,6 +23,7 @@ from .filters import (
     parity_clause,
     theorem1_failure,
     theorem2_congruence,
+    value_marks,
 )
 from .model import (
     Candidate,
@@ -32,7 +33,6 @@ from .model import (
     distance_profile,
     orbit,
 )
-from .tables import POSITION, sieve_tables
 
 DEFAULT_BUDGET = 10**9
 
@@ -197,12 +197,40 @@ def oracle_scan(req: ScanRequest) -> ScanReport:
     return ScanReport(req, tuple(hits))
 
 
-# positions of the filters sieve_z tests before the axis tables
-_BOUNDARY, _LEMMA3, _PARITY, _THEOREM1, _THEOREM2 = (
-    POSITION[fid]
-    for fid in (FilterId.BOUNDARY, FilterId.LEMMA3, FilterId.PARITY_RESIDUE,
-                FilterId.THEOREM1, FilterId.THEOREM2)
-)
+# the one-axis filters and the axes whose side values each rules out
+_AXES = {
+    FilterId.LEMMA3: "xy",
+    FilterId.THEOREM3: "x",
+    FilterId.THEOREM4: "x",
+    FilterId.THEOREM5: "y",
+    FilterId.COROLLARY52: "x",
+    FilterId.THEOREM6: "x",
+}
+
+
+def axis_masks(z: int, enabled: frozenset[FilterId]) -> tuple[list[int], list[int]]:
+    """Per side value v in 0..z, the enabled one-axis filters that rule out
+    x = v and those that rule out y = v, as masks with bit i for the i-th
+    FilterId.
+
+    Each filter looks at v and z - v: theorem6 rules v out when both pass
+    its per-value test, the others when either does.
+    """
+    masks = {"x": [0] * (z + 1), "y": [0] * (z + 1)}
+    for i, fid in enumerate(FilterId):
+        if fid not in enabled or fid not in _AXES:
+            continue
+        marks = value_marks(z, fid)
+        both = fid is FilterId.THEOREM6
+        ruled_out = [
+            v for v in range(z + 1)
+            if ((marks[v] and marks[z - v]) if both else (marks[v] or marks[z - v]))
+        ]
+        for axis in _AXES[fid]:
+            mask = masks[axis]
+            for v in ruled_out:
+                mask[v] |= 1 << i
+    return masks["x"], masks["y"]
 
 
 def sieve_z(z: int, cfg: FilterConfig | None = None, mode: str = FIRST_HIT) -> SieveResult:
@@ -210,51 +238,56 @@ def sieve_z(z: int, cfg: FilterConfig | None = None, mode: str = FIRST_HIT) -> S
     the first enabled filter that rules it out; the oracle then profiles the
     survivors only.
 
-    The pair conditions run as integer tests on (x, y, z) and the one-axis
-    conditions are table lookups (see tables.py), in FilterId order, so the
-    counts equal those of run_pipeline on each candidate.  Only survivors
-    become Candidates with verdicts; no witness is built for an eliminated
-    candidate.
+    The pair conditions run as integer tests on (x, y, z); the one-axis
+    conditions are the bits of x_mask[x] | y_mask[y] (see axis_masks).
+    Lemma3's bit is tested in its FilterId place, and once the pair tests
+    pass, the lowest set bit is the first hit, so the counts equal those of
+    run_pipeline on each candidate.  Only survivors become Candidates with
+    verdicts; no witness is built for an eliminated candidate.
     """
     if mode != FIRST_HIT:
         raise ValueError(f"unknown pipeline mode {mode!r}")
     if z < 1:
         raise ValueError("z must be positive")
     enabled = (cfg if cfg is not None else FilterConfig()).enabled
-    boundary = FilterId.BOUNDARY in enabled
-    parity = FilterId.PARITY_RESIDUE in enabled
-    theorem1 = FilterId.THEOREM1 in enabled
-    theorem2 = FilterId.THEOREM2 in enabled
-    lemma3, x_early, y_mid, x_late = sieve_tables(z, enabled)
-    counts = [0] * len(POSITION)
+    x_mask, y_mask = axis_masks(z, enabled)
+    # each enabled pair filter's bit, and lemma3's, or 0 if it is disabled
+    bit = {fid: 1 << i for i, fid in enumerate(FilterId) if fid in enabled}
+    boundary, lemma3, parity, theorem1, theorem2 = (
+        bit.get(fid, 0)
+        for fid in (FilterId.BOUNDARY, FilterId.LEMMA3, FilterId.PARITY_RESIDUE,
+                    FilterId.THEOREM1, FilterId.THEOREM2)
+    )
+    counts = [0] * (1 << len(FilterId))  # indexed by the first hit's bit
     survivors = []
     total = 0
     for x, y in canonical_interior_pairs(z):
         if gcd(x, y, z) != 1:
             continue
         total += 1
+        hits = x_mask[x] | y_mask[y]
         if boundary and boundary_tag(x, y, z):
-            hit = _BOUNDARY
-        elif lemma3[x] or lemma3[y]:
-            hit = _LEMMA3
+            hit = boundary
+        elif hits & lemma3:
+            hit = lemma3
         elif parity and parity_clause(x, y, z):
-            hit = _PARITY
+            hit = parity
         elif theorem1 and theorem1_failure(x, y, z):
-            hit = _THEOREM1
+            hit = theorem1
         elif theorem2 and theorem2_congruence(x, y, z):
-            hit = _THEOREM2
+            hit = theorem2
+        elif hits:
+            hit = hits & -hits  # the lowest set bit: the first one-axis hit
         else:
-            hit = x_early[x] or y_mid[y] or x_late[x]
-            if not hit:
-                c = Candidate(x, y, z)
-                survivors.append(Survivor(c, full_attribution(c), distance_profile(c)))
-                continue
+            c = Candidate(x, y, z)
+            survivors.append(Survivor(c, full_attribution(c), distance_profile(c)))
+            continue
         counts[hit] += 1
     max_count = max((s.profile.integer_count for s in survivors), default=None)
     return SieveResult(
         z=z,
         candidates=total,
-        eliminated=tuple(zip(FilterId, counts)),
+        eliminated=tuple((fid, counts[1 << i]) for i, fid in enumerate(FilterId)),
         survivors=tuple(survivors),
         max_count=max_count,
         witnesses=tuple(

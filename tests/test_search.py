@@ -1,10 +1,11 @@
 """Enumeration, oracle scan, sieve and parallel range search."""
 
+import itertools
 import multiprocessing
 
 import pytest
 
-from squarepoint import filters
+from squarepoint import search
 from squarepoint.filters import FilterConfig, FilterId
 from squarepoint.model import Candidate, canonicalize, distance_profile, orbit
 from squarepoint.search import (
@@ -147,10 +148,15 @@ def test_sieve_z_rejects_unknown_mode():
 
 
 def test_sieve_matches_run_pipeline():
-    # z = 72 is the first side where the full sieve reaches theorem5, so the
-    # order of the axis tables matters from there on
+    # parity rules out every candidate at z % 12 != 0, so the full config
+    # orders the one-axis filters only at z = 12, 24, ... (theorem5 first
+    # at z = 72); the two-filter configs order them at every z
+    two_filters = tuple(
+        FilterConfig.only(a, b) for a, b in itertools.combinations(FilterId, 2)
+    )
     for result in (check_sieve_reference(96, ALL_FILTERS),
-                   check_sieve_reference(36, SINGLE_FILTERS)):
+                   check_sieve_reference(36, SINGLE_FILTERS),
+                   check_sieve_reference(40, two_filters)):
         assert result.ok, result.detail
 
 
@@ -237,10 +243,17 @@ def test_search_range_starts_no_idle_workers(monkeypatch):
 
 
 def test_search_range_worker_failure_aborts(monkeypatch):
-    # p = 0 makes theorem2 divide by zero; workers started by fork (the
-    # Linux default before Python 3.14) inherit the patch.
-    # Only z = 60 reaches theorem2 (parity_residue rules out z % 12 != 0).
-    monkeypatch.setattr(filters, "NONRESIDUE_PRIMES", (0,))
+    # the wrapped sieve_z fails at z = 60 only; _sieve_task looks it up at
+    # call time, and workers started by fork (the Linux default before
+    # Python 3.14) inherit the patch
+    sieve = search.sieve_z
+
+    def failing_sieve(z, cfg=None):
+        if z == 60:
+            raise ZeroDivisionError("injected")
+        return sieve(z, cfg)
+
+    monkeypatch.setattr(search, "sieve_z", failing_sieve)
     for workers in (1, 2):
         with pytest.raises(RuntimeError, match="z=60"):
             search_range(50, 60, workers=workers)
