@@ -43,6 +43,10 @@ class FilterId(enum.Enum):
     THEOREM6 = "theorem6"
 
 
+# a filter mask has bit i set for the i-th FilterId
+BIT = {fid: 1 << i for i, fid in enumerate(FilterId)}
+
+
 class Verdict(NamedTuple):
     """Either undecided (both fields None) or eliminated by one filter."""
 
@@ -404,29 +408,40 @@ def filter_theorem6(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
     return Verdict(FilterId.THEOREM6, witness)
 
 
-_VALUE_TESTS = {
-    FilterId.THEOREM3: odd_prime,
-    FilterId.THEOREM4: theorem4_root,
-    FilterId.THEOREM5: theorem5_shape,
-    FilterId.COROLLARY52: cor52_split,
-    FilterId.THEOREM6: odd_semiprime,
+# The one-axis filters: the axes whose side values each rules out, and its
+# per-value test on (v, z).  A side value v is ruled out when v or z - v
+# passes the test; for theorem6, only when both do.
+ONE_AXIS: dict[FilterId, tuple[str, Callable[[int, int], object]]] = {
+    FilterId.LEMMA3: ("xy", lambda v, z: v in lemma3_divisors(z)),
+    FilterId.THEOREM3: ("x", lambda v, z: odd_prime(v)),
+    FilterId.THEOREM4: ("x", lambda v, z: theorem4_root(v)),
+    FilterId.THEOREM5: ("y", lambda v, z: theorem5_shape(v)),
+    FilterId.COROLLARY52: ("x", lambda v, z: cor52_split(v)),
+    FilterId.THEOREM6: ("x", lambda v, z: odd_semiprime(v)),
 }
 
 
-def value_marks(z: int, fid: FilterId) -> bytes:
-    """marks[v] == 1 iff the per-value test of the one-axis filter fid holds
-    for v, 0 <= v <= z.
+def axis_masks(z: int, enabled: frozenset[FilterId]) -> tuple[list[int], list[int]]:
+    """Per side value v in 0..z, the BIT masks of the enabled one-axis
+    filters that rule out x = v and of those that rule out y = v."""
+    masks = {"x": [0] * (z + 1), "y": [0] * (z + 1)}
+    for fid, (axes, test) in ONE_AXIS.items():
+        if fid not in enabled:
+            continue
+        passed = {v for v in range(z + 1) if test(v, z)}
+        reflected = {z - v for v in passed}
+        ruled_out = passed & reflected if fid is FilterId.THEOREM6 else passed | reflected
+        bit = BIT[fid]
+        for axis in axes:
+            mask = masks[axis]
+            for v in ruled_out:
+                mask[v] |= bit
+    return masks["x"], masks["y"]
 
-    For lemma3 the test is membership in lemma3_divisors(z).
-    """
-    if fid is FilterId.LEMMA3:
-        dangerous = lemma3_divisors(z)
-        return bytes(v in dangerous for v in range(z + 1))
-    test = _VALUE_TESTS[fid]
-    return bytes(bool(test(v)) for v in range(z + 1))
 
-
-_FILTER_FUNCS: dict[FilterId, Callable[[Candidate, FilterConfig], Verdict]] = {
+# The filter_* functions take an unused cfg only because
+# perfbench/tracing.py still passes one; the pipeline calls func(c).
+_FILTER_FUNCS: dict[FilterId, Callable[[Candidate], Verdict]] = {
     FilterId.BOUNDARY: filter_boundary,
     FilterId.LEMMA3: filter_lemma3,
     FilterId.PARITY_RESIDUE: filter_parity_residue,
@@ -454,7 +469,7 @@ def run_pipeline(c: Candidate, cfg: FilterConfig, mode: str = FIRST_HIT) -> Attr
     if not is_primitive_interior(c):
         raise ValueError(f"candidate {c} is not primitive interior")
     for fid, func in _enabled_in_order(cfg.enabled):
-        verdict = func(c, cfg)
+        verdict = func(c)
         if verdict.eliminated:
             return Attribution(((fid, verdict),))
     return Attribution(())

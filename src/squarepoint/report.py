@@ -1,5 +1,6 @@
 """Serialization of sieve, scan and list results (json, csv, text), plus the
-per-z tables of values the filters rule out for x and y.
+per-z lists of values the filters rule out for x and y, read from
+filters.axis_masks.
 
 Output is deterministic: identical inputs give identical bytes.  JSON
 round-trips losslessly through the parse_* functions; unknown or
@@ -14,7 +15,15 @@ import json
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .filters import UNDECIDED, Attribution, FilterId, Verdict, value_marks
+from .filters import (
+    BIT,
+    ONE_AXIS,
+    UNDECIDED,
+    Attribution,
+    FilterId,
+    Verdict,
+    axis_masks,
+)
 from .model import CORNERS, Candidate, DistanceProfile, distance_profile
 from .search import ScanHit, ScanReport, ScanRequest, SieveResult, Survivor
 
@@ -38,10 +47,12 @@ class ValueLists(NamedTuple):
 class UnavailableLists:
     """Values of x and y ruled out at side z, per source filter.
 
-    Each combined list is the direct list united with its reflection
-    {z - v}; the x lists hold odd values, the y lists even values.  The
-    lemma3 list keeps only values the theorem5 shape did not already rule
-    out, matching how the two conditions divide the work at z = 60.
+    Each combined list holds the values 1..z-1 whose axis mask has the
+    filter's bit, so v and z - v together; the direct list keeps those that
+    pass the filter's own per-value test.  The x lists hold odd values, the
+    y lists even values.  The lemma3 list keeps only values the theorem5
+    shape did not already rule out, matching how the two conditions divide
+    the work at z = 60.
     """
 
     z: int
@@ -51,28 +62,22 @@ class UnavailableLists:
     lemma3_y: ValueLists
 
 
-def _with_reflection(z: int, direct: list[int]) -> ValueLists:
-    return ValueLists(
-        tuple(sorted(direct)), tuple(sorted(set(direct) | {z - v for v in direct}))
-    )
-
-
 def unavailable_lists(z: int) -> UnavailableLists:
     if z < 2 or z % 2:
         raise ValueError("unavailable lists are defined for even z >= 2")
+    x_mask, y_mask = axis_masks(z, frozenset(_SOURCE_LABELS))
 
-    def direct(fid: FilterId, values: range) -> list[int]:
-        marks = value_marks(z, fid)
-        return [v for v in values if marks[v]]
+    def lists(fid: FilterId, mask: list[int], clear: int = 0) -> ValueLists:
+        bit, test = BIT[fid], ONE_AXIS[fid][1]
+        combined = tuple(v for v in range(1, z) if mask[v] & (bit | clear) == bit)
+        return ValueLists(tuple(v for v in combined if test(v, z)), combined)
 
-    t5_lists = _with_reflection(z, direct(FilterId.THEOREM5, range(1, z)))
-    l3 = [y for y in direct(FilterId.LEMMA3, range(2, z, 2)) if y not in t5_lists.combined]
     return UnavailableLists(
         z=z,
-        theorem3_x=_with_reflection(z, direct(FilterId.THEOREM3, range(1, z))),
-        theorem4_x=_with_reflection(z, direct(FilterId.THEOREM4, range(1, z))),
-        theorem5_y=t5_lists,
-        lemma3_y=_with_reflection(z, l3),
+        theorem3_x=lists(FilterId.THEOREM3, x_mask),
+        theorem4_x=lists(FilterId.THEOREM4, x_mask),
+        theorem5_y=lists(FilterId.THEOREM5, y_mask),
+        lemma3_y=lists(FilterId.LEMMA3, y_mask, clear=BIT[FilterId.THEOREM5]),
     )
 
 

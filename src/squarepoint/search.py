@@ -14,16 +14,17 @@ from typing import Iterator, NamedTuple
 
 from .arith import pythagorean_partners
 from .filters import (
+    BIT,
     FIRST_HIT,
     Attribution,
     FilterConfig,
     FilterId,
+    axis_masks,
     boundary_tag,
     full_attribution,
     parity_clause,
     theorem1_failure,
     theorem2_congruence,
-    value_marks,
 )
 from .model import (
     Candidate,
@@ -127,6 +128,8 @@ def _side_lengths(
     """The z in [z_min, z_max] (only z = 0 (mod 12) with mod12_only), once
     their candidate pairs, (z+1)^2 with the boundary and (z-1)^2 without,
     are known to fit in budget."""
+    if budget < 0:
+        raise ValueError("budget must not be negative")
     step = 12 if mod12_only else 1
     zs = range(z_min + (-z_min) % step, z_max + 1, step)
     if sum((z + 1) ** 2 if boundary else (z - 1) ** 2 for z in zs) > budget:
@@ -197,42 +200,6 @@ def oracle_scan(req: ScanRequest) -> ScanReport:
     return ScanReport(req, tuple(hits))
 
 
-# the one-axis filters and the axes whose side values each rules out
-_AXES = {
-    FilterId.LEMMA3: "xy",
-    FilterId.THEOREM3: "x",
-    FilterId.THEOREM4: "x",
-    FilterId.THEOREM5: "y",
-    FilterId.COROLLARY52: "x",
-    FilterId.THEOREM6: "x",
-}
-
-
-def axis_masks(z: int, enabled: frozenset[FilterId]) -> tuple[list[int], list[int]]:
-    """Per side value v in 0..z, the enabled one-axis filters that rule out
-    x = v and those that rule out y = v, as masks with bit i for the i-th
-    FilterId.
-
-    Each filter looks at v and z - v: theorem6 rules v out when both pass
-    its per-value test, the others when either does.
-    """
-    masks = {"x": [0] * (z + 1), "y": [0] * (z + 1)}
-    for i, fid in enumerate(FilterId):
-        if fid not in enabled or fid not in _AXES:
-            continue
-        marks = value_marks(z, fid)
-        both = fid is FilterId.THEOREM6
-        ruled_out = [
-            v for v in range(z + 1)
-            if ((marks[v] and marks[z - v]) if both else (marks[v] or marks[z - v]))
-        ]
-        for axis in _AXES[fid]:
-            mask = masks[axis]
-            for v in ruled_out:
-                mask[v] |= 1 << i
-    return masks["x"], masks["y"]
-
-
 def sieve_z(z: int, cfg: FilterConfig | None = None, mode: str = FIRST_HIT) -> SieveResult:
     """Classify every deduplicated primitive interior candidate at side z by
     the first enabled filter that rules it out; the oracle then profiles the
@@ -252,9 +219,8 @@ def sieve_z(z: int, cfg: FilterConfig | None = None, mode: str = FIRST_HIT) -> S
     enabled = (cfg if cfg is not None else FilterConfig()).enabled
     x_mask, y_mask = axis_masks(z, enabled)
     # each enabled pair filter's bit, and lemma3's, or 0 if it is disabled
-    bit = {fid: 1 << i for i, fid in enumerate(FilterId) if fid in enabled}
     boundary, lemma3, parity, theorem1, theorem2 = (
-        bit.get(fid, 0)
+        BIT[fid] if fid in enabled else 0
         for fid in (FilterId.BOUNDARY, FilterId.LEMMA3, FilterId.PARITY_RESIDUE,
                     FilterId.THEOREM1, FilterId.THEOREM2)
     )
@@ -287,7 +253,7 @@ def sieve_z(z: int, cfg: FilterConfig | None = None, mode: str = FIRST_HIT) -> S
     return SieveResult(
         z=z,
         candidates=total,
-        eliminated=tuple((fid, counts[1 << i]) for i, fid in enumerate(FilterId)),
+        eliminated=tuple((fid, counts[BIT[fid]]) for fid in FilterId),
         survivors=tuple(survivors),
         max_count=max_count,
         witnesses=tuple(

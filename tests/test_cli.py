@@ -70,6 +70,18 @@ def test_search_budget(capsys):
     assert code == 0 and json.loads(out)["results"][0]["z"] == 12
 
 
+def test_negative_budget_is_usage_error(capsys):
+    code, _, err = run(capsys, "search", "--z-min", "1", "--z-max", "5",
+                       "--budget", "-1")
+    assert code == 1 and "budget must not be negative" in err
+    code, _, err = run(capsys, "three-distance", "--z-max", "5", "--budget", "-5")
+    assert code == 1 and "budget must not be negative" in err
+    # z = 1 holds no interior candidate pair, so a budget of 0 fits it
+    code, out, _ = run(capsys, "search", "--z-min", "1", "--z-max", "1",
+                       "--budget", "0", "--format", "json")
+    assert code == 0 and json.loads(out)["results"][0]["z"] == 1
+
+
 def test_three_distance_finds_triples(capsys):
     code, out, _ = run(capsys, "three-distance", "--z-max", "60",
                        "--format", "json")

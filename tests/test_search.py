@@ -150,10 +150,11 @@ def test_sieve_z_rejects_unknown_mode():
 def test_sieve_matches_run_pipeline():
     # parity rules out every candidate at z % 12 != 0, so the full config
     # orders the one-axis filters only at z = 12, 24, ... (theorem5 first
-    # at z = 72); the two-filter configs order them at every z
+    # at z = 72); the two-filter configs order them at every z, and the
+    # empty config leaves every candidate a survivor with all counts 0
     two_filters = tuple(
         FilterConfig.only(a, b) for a, b in itertools.combinations(FilterId, 2)
-    )
+    ) + (FilterConfig.only(),)
     for result in (check_sieve_reference(96, ALL_FILTERS),
                    check_sieve_reference(36, SINGLE_FILTERS),
                    check_sieve_reference(40, two_filters)):
