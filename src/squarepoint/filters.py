@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .arith import (
     divisors,
@@ -170,6 +170,23 @@ def parity_clause(x: int, y: int, z: int) -> str | None:
     if x % 3 and y % 3:
         return "corner_mod_3"
     return None
+
+
+def parity_pairs(z: int) -> Iterator[tuple[int, int]]:
+    """The pairs of canonical_interior_pairs(z) that pass parity_clause, in
+    the same order.
+
+    None unless 12 divides z.  Then z is even, so a canonical pair with one
+    odd and one even coordinate has x odd, 2x < z and y even, 2y <= z; y
+    must be a multiple of 4, and of 12 unless 3 divides x.
+    """
+    if z % 12:
+        return
+    half = z // 2
+    for x in range(1, half, 2):
+        step = 4 if x % 3 == 0 else 12
+        for y in range(step, half + 1, step):
+            yield x, y
 
 
 def filter_parity_residue(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterator, NamedTuple
 
-from .arith import isqrt
+from .arith import factorize, isqrt
 
 CORNERS = ("A", "B", "C", "D")
 
@@ -123,3 +123,42 @@ def canonical_interior_pairs(z: int) -> Iterator[tuple[int, int]]:
             even_ys = range(2, min(ymax, z - x) + 1, 2)
             for y in sorted([*odd_ys, *even_ys]):
                 yield x, y
+
+
+def is_canonical(x: int, y: int, z: int) -> bool:
+    """True iff canonical_interior_pairs(z) yields (x, y): the same rule,
+    tested on one pair."""
+    if z % 2 == 0:
+        return (0 < x and 0 < y and 2 * x <= z and 2 * y <= z
+                and (x % 2 > y % 2 or (x % 2 == y % 2 and x <= y)))
+    return (0 < x and x % 2 == 1 and 0 < y and 2 * y < z
+            and (x <= y if y % 2 else x + y <= z))
+
+
+def candidate_count(z: int) -> int:
+    """The number of primitive canonical interior points at side z, i.e. of
+    symmetry orbits of primitive interior points, in closed form.
+
+    Burnside's lemma over the square's 8 symmetries, with Moebius sums over
+    the squarefree divisors d of z: the identity fixes all
+    sum mu(d) (z/d - 1)**2 primitive interior points; each diagonal
+    reflection fixes the points (t, t) or (t, z - t) with gcd(t, z) = 1;
+    each midline reflection (z even) fixes (z/2, t) or (t, z/2) with
+    gcd(t, z/2) = 1; the three rotations fix only the centre, which is
+    primitive only at z = 2.
+    """
+    if z < 2:
+        return 0
+    moebius = [(1, 1)]
+    for p, _ in factorize(z):
+        moebius += [(d * p, -mu) for d, mu in moebius]
+
+    def coprime_sides(m: int) -> int:  # t in 1..z-1 with gcd(t, m) = 1, m | z
+        return sum(mu * (z // d - 1) for d, mu in moebius if m % d == 0)
+
+    fixed = sum(mu * (z // d - 1) ** 2 for d, mu in moebius) + 2 * coprime_sides(z)
+    if z % 2 == 0:
+        fixed += 2 * coprime_sides(z // 2)
+    if z == 2:
+        fixed += 3
+    return fixed // 8

@@ -8,6 +8,7 @@ any worker count produces identical results.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterator, NamedTuple
@@ -22,16 +23,18 @@ from .filters import (
     axis_masks,
     boundary_tag,
     full_attribution,
-    parity_clause,
+    parity_pairs,
     theorem1_failure,
     theorem2_congruence,
 )
 from .model import (
     Candidate,
     DistanceProfile,
+    candidate_count,
     canonical_interior_pairs,
     canonicalize,
     distance_profile,
+    is_canonical,
     orbit,
 )
 
@@ -200,45 +203,76 @@ def oracle_scan(req: ScanRequest) -> ScanReport:
     return ScanReport(req, tuple(hits))
 
 
+def _on_lines(z: int, points: Iterator[tuple[int, int]]) -> set[tuple[int, int]]:
+    """The primitive canonical interior pairs among points."""
+    return {(x, y) for x, y in points if is_canonical(x, y, z) and gcd(x, y, z) == 1}
+
+
+def _rows_and_columns(z: int, values: list[int]) -> Iterator[tuple[int, int]]:
+    """The interior points with x or y in values, 2y <= z, and 2x <= z if z
+    is even: the bounds of every canonical pair."""
+    x_max = z // 2 if z % 2 == 0 else z - 1
+    for v in values:
+        if v <= x_max:
+            for t in range(1, z // 2 + 1):
+                yield v, t
+        if 2 * v <= z:
+            for t in range(1, x_max + 1):
+                yield t, v
+
+
 def sieve_z(z: int, cfg: FilterConfig | None = None, mode: str = FIRST_HIT) -> SieveResult:
     """Classify every deduplicated primitive interior candidate at side z by
     the first enabled filter that rules it out; the oracle then profiles the
     survivors only.
 
-    The pair conditions run as integer tests on (x, y, z); the one-axis
-    conditions are the bits of x_mask[x] | y_mask[y] (see axis_masks).
-    Lemma3's bit is tested in its FilterId place, and once the pair tests
-    pass, the lowest set bit is the first hit, so the counts equal those of
-    run_pipeline on each candidate.  Only survivors become Candidates with
-    verdicts; no witness is built for an eliminated candidate.
+    Only the candidates that can pass parity are visited: parity_pairs(z)
+    with parity enabled, every canonical pair otherwise.  The rest are
+    counted.  The total is candidate_count(z); boundary's first hits are the
+    points on the midlines and diagonals, lemma3's those on the rows and
+    columns whose lemma3 bit is set (off boundary's lines when boundary is
+    enabled); parity's are whatever neither line count nor the visit holds.
+    A visited pair on a counted line is skipped; any other goes through
+    theorem1, theorem2 and the one-axis bits of x_mask[x] | y_mask[y] (see
+    axis_masks), whose lowest set bit is the first hit, so the counts equal
+    those of run_pipeline on each candidate.  Only survivors become
+    Candidates with verdicts; no witness is built for an eliminated one.
     """
     if mode != FIRST_HIT:
         raise ValueError(f"unknown pipeline mode {mode!r}")
     if z < 1:
         raise ValueError("z must be positive")
     enabled = (cfg if cfg is not None else FilterConfig()).enabled
-    x_mask, y_mask = axis_masks(z, enabled)
     # each enabled pair filter's bit, and lemma3's, or 0 if it is disabled
     boundary, lemma3, parity, theorem1, theorem2 = (
         BIT[fid] if fid in enabled else 0
         for fid in (FilterId.BOUNDARY, FilterId.LEMMA3, FilterId.PARITY_RESIDUE,
                     FilterId.THEOREM1, FilterId.THEOREM2)
     )
+    if parity and z % 12:
+        # no pair is visited, so only lemma3's lines read the masks
+        enabled = enabled & {FilterId.LEMMA3}
+    x_mask, y_mask = axis_masks(z, enabled)
+    midlines = [z // 2] if z % 2 == 0 else []
+    on_boundary = _on_lines(z, itertools.chain(
+        ((t, t) for t in range(1, z // 2 + 1)),
+        ((z - t, t) for t in range(1, z // 2 + 1)),
+        _rows_and_columns(z, midlines),
+    )) if boundary else set()
+    on_lemma3 = _on_lines(z, _rows_and_columns(
+        z, [v for v in range(1, z) if x_mask[v] & lemma3]
+    )) - on_boundary
     counts = [0] * (1 << len(FilterId))  # indexed by the first hit's bit
     survivors = []
-    total = 0
-    for x, y in canonical_interior_pairs(z):
+    reached = 0  # visited primitive pairs on no counted line
+    for x, y in parity_pairs(z) if parity else canonical_interior_pairs(z):
         if gcd(x, y, z) != 1:
             continue
-        total += 1
         hits = x_mask[x] | y_mask[y]
-        if boundary and boundary_tag(x, y, z):
-            hit = boundary
-        elif hits & lemma3:
-            hit = lemma3
-        elif parity and parity_clause(x, y, z):
-            hit = parity
-        elif theorem1 and theorem1_failure(x, y, z):
+        if boundary and boundary_tag(x, y, z) or hits & lemma3:
+            continue
+        reached += 1
+        if theorem1 and theorem1_failure(x, y, z):
             hit = theorem1
         elif theorem2 and theorem2_congruence(x, y, z):
             hit = theorem2
@@ -249,6 +283,11 @@ def sieve_z(z: int, cfg: FilterConfig | None = None, mode: str = FIRST_HIT) -> S
             survivors.append(Survivor(c, full_attribution(c), distance_profile(c)))
             continue
         counts[hit] += 1
+    total = candidate_count(z)
+    counts[boundary] += len(on_boundary)
+    counts[lemma3] += len(on_lemma3)
+    # 0 with parity disabled: then every candidate is visited
+    counts[parity] += total - len(on_boundary) - len(on_lemma3) - reached
     max_count = max((s.profile.integer_count for s in survivors), default=None)
     return SieveResult(
         z=z,

@@ -22,6 +22,8 @@ from squarepoint.filters import (
     filter_theorem6,
     full_attribution,
     lemma3_divisors,
+    parity_clause,
+    parity_pairs,
     recheck_witness,
     run_pipeline,
     shape5_prime_allowed,
@@ -29,7 +31,7 @@ from squarepoint.filters import (
     theorem4_root,
     theorem5_shape,
 )
-from squarepoint.model import Candidate
+from squarepoint.model import Candidate, canonical_interior_pairs
 from squarepoint.search import enumerate_candidates
 from squarepoint.selfcheck import check_first_hit
 
@@ -252,3 +254,9 @@ def test_recheck_rejects_forged_witnesses():
     )
     assert not recheck_witness(c, FilterId.THEOREM5, {"kind": "shape5", "target": "y",
                                                       "value": 20, "h": 1, "m": 5})
+
+
+def test_parity_pairs_are_the_canonical_pairs_passing_parity():
+    for z in range(1, 301):
+        expected = [p for p in canonical_interior_pairs(z) if parity_clause(*p, z) is None]
+        assert list(parity_pairs(z)) == expected, z

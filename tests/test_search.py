@@ -7,7 +7,13 @@ import pytest
 
 from squarepoint import search
 from squarepoint.filters import FilterConfig, FilterId
-from squarepoint.model import Candidate, canonicalize, distance_profile, orbit
+from squarepoint.model import (
+    Candidate,
+    candidate_count,
+    canonicalize,
+    distance_profile,
+    orbit,
+)
 from squarepoint.search import (
     BudgetExceededError,
     ScanRequest,
@@ -55,6 +61,11 @@ def test_enumerate_dedup_matches_filtering():
         dedup = list(enumerate_candidates(z, dedup=True))
         assert dedup == [c for c in plain if canonicalize(c) == c], z
         assert dedup == sorted(dedup), z
+
+
+def test_candidate_count_matches_enumeration():
+    for z in range(1, 301):
+        assert candidate_count(z) == len(list(enumerate_candidates(z, dedup=True))), z
 
 
 def test_dedup_orbit_sizes_account_for_everything():
@@ -151,13 +162,20 @@ def test_sieve_matches_run_pipeline():
     # parity rules out every candidate at z % 12 != 0, so the full config
     # orders the one-axis filters only at z = 12, 24, ... (theorem5 first
     # at z = 72); the two-filter configs order them at every z, and the
-    # empty config leaves every candidate a survivor with all counts 0
+    # empty config leaves every candidate a survivor with all counts 0.
+    # Leaving one filter out changes which line counts apply: without
+    # boundary, lemma3's lines keep the diagonal and midline points, and
+    # without parity, every candidate is visited.
     two_filters = tuple(
         FilterConfig.only(a, b) for a, b in itertools.combinations(FilterId, 2)
     ) + (FilterConfig.only(),)
+    leave_one_out = tuple(
+        FilterConfig(enabled=frozenset(FilterId) - {fid}) for fid in FilterId
+    )
     for result in (check_sieve_reference(96, ALL_FILTERS),
                    check_sieve_reference(36, SINGLE_FILTERS),
-                   check_sieve_reference(40, two_filters)):
+                   check_sieve_reference(40, two_filters),
+                   check_sieve_reference(72, leave_one_out)):
         assert result.ok, result.detail
 
 
