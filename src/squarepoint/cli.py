@@ -56,7 +56,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--filters", default="all")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="most candidate pairs the range may hold")
+                   help="most candidates (primitive canonical interior "
+                        "points) the range may hold")
     add_output_flags(p)
 
     p = sub.add_parser("distances", help="corner distances of one point")

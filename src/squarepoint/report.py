@@ -362,6 +362,52 @@ def _render_text(result) -> str:
     return "\n".join(lines) + "\n"
 
 
+_escape = json.encoder.encode_basestring_ascii  # the C escaper where built
+
+
+def _write_json(o, out: list[str], nl: str) -> None:
+    """Append to out the text json.dumps(o, indent=2) gives, nl being the
+    newline and indent of o's own line.
+
+    json.dumps runs its C encoder only without indent; with indent=2 every
+    value passes through one Python generator per enclosing container.
+    Only str keys and the types json.dumps itself encodes are written; any
+    other type raises TypeError.
+    """
+    if isinstance(o, str):
+        out.append(_escape(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(json.dumps(o))
+    elif isinstance(o, (list, tuple)):
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in o:
+            out.append(sep)
+            _write_json(v, out, inner)
+            sep = "," + inner
+        out.append(nl + "]" if o else "[]")
+    elif isinstance(o, dict):
+        inner = nl + "  "
+        sep = "{" + inner
+        for k, v in o.items():
+            if not isinstance(k, str):
+                raise TypeError(f"JSON keys must be str, not {type(k).__name__}")
+            out.append(sep + _escape(k) + ": ")
+            _write_json(v, out, inner)
+            sep = "," + inner
+        out.append(nl + "}" if o else "{}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def serialize(result, fmt: str = "json") -> bytes:
     """Render a Candidate's distance profile, a SieveResult, ScanReport,
     UnavailableLists, or sequence of SieveResults as json, csv or text bytes."""
@@ -384,7 +430,10 @@ def serialize(result, fmt: str = "json") -> bytes:
             payload = unavailable_to_dict(result)
         else:
             raise TypeError(f"cannot serialize {type(result).__name__}")
-        return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+        out: list[str] = []
+        _write_json(payload, out, "\n")
+        out.append("\n")
+        return "".join(out).encode("utf-8")
     if fmt == "csv":
         return _render_csv(result if is_range else [result]).encode("utf-8")
     text = (

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .arith import pythagorean_partners
 from .filters import (
@@ -126,18 +126,23 @@ def enumerate_candidates(z: int, dedup: bool = False) -> Iterator[Candidate]:
 
 
 def _side_lengths(
-    z_min: int, z_max: int, mod12_only: bool, budget: int, boundary: bool, region: str
+    z_min: int,
+    z_max: int,
+    mod12_only: bool,
+    budget: int,
+    charge: Callable[[int], int],
+    region: str,
 ) -> range:
     """The z in [z_min, z_max] (only z = 0 (mod 12) with mod12_only), once
-    their candidate pairs, (z+1)^2 with the boundary and (z-1)^2 without,
-    are known to fit in budget."""
+    the work charge(z) of each, summed, is known to fit in budget."""
     if budget < 0:
         raise ValueError("budget must not be negative")
     step = 12 if mod12_only else 1
     zs = range(z_min + (-z_min) % step, z_max + 1, step)
-    if sum((z + 1) ** 2 if boundary else (z - 1) ** 2 for z in zs) > budget:
+    # stop summing at the first z over budget: a huge range is refused at once
+    if any(total > budget for total in itertools.accumulate(map(charge, zs))):
         raise BudgetExceededError(
-            f"{region} holds more than budget={budget} candidate pairs"
+            f"{region} holds more than budget={budget} candidates"
         )
     return zs
 
@@ -185,8 +190,10 @@ def oracle_scan(req: ScanRequest) -> ScanReport:
     """Exhaustive scan for points with at least min_count integer corner
     distances; emits one canonical representative per orbit, ascending
     (z, x, y), each with its exact profile and orbit size."""
+    # the oracle visits every pair (x, y), the boundary included if asked
+    pad = 1 if req.include_boundary else -1
     zs = _side_lengths(req.z_min, req.z_max, req.mod12_only, req.budget,
-                       req.include_boundary, "scan region")
+                       lambda z: (z + pad) ** 2, "scan region")
     hits = []
     for z in zs:
         z_hits = [Candidate(x, y, z) for x, y in _interior_hits(z, req.min_count)]
@@ -323,14 +330,16 @@ def search_range(
 
     Work is partitioned by whole z values, so results are identical for any
     worker count; a failure at any z aborts the whole range with a
-    RuntimeError naming that z.
+    RuntimeError naming that z.  budget caps the candidates the sieve
+    classifies, model.candidate_count(z) summed over the range; a range
+    over budget raises BudgetExceededError before any z is sieved.
     """
     if z_min < 1 or z_min > z_max:
         raise ValueError("need 1 <= z_min <= z_max")
     if workers < 1:
         raise ValueError("workers must be positive")
     cfg = cfg if cfg is not None else FilterConfig()
-    zs = _side_lengths(z_min, z_max, mod12_only, budget, False, "range")
+    zs = _side_lengths(z_min, z_max, mod12_only, budget, candidate_count, "range")
     tasks = [(z, cfg) for z in zs]
     workers = min(workers, len(tasks))
     if workers <= 1:

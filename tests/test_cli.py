@@ -61,12 +61,12 @@ def test_search_rejects_bad_range(capsys):
 
 
 def test_search_budget(capsys):
-    # z = 12 holds (12 - 1)**2 = 121 candidate pairs
+    # z = 12 holds 13 candidates, model.candidate_count(12)
     code, _, err = run(capsys, "search", "--z-min", "12", "--z-max", "12",
-                       "--budget", "120")
+                       "--budget", "12")
     assert code == 2 and "budget" in err
     code, out, _ = run(capsys, "search", "--z-min", "12", "--z-max", "12",
-                       "--budget", "121", "--format", "json")
+                       "--budget", "13", "--format", "json")
     assert code == 0 and json.loads(out)["results"][0]["z"] == 12
 
 

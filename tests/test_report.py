@@ -1,9 +1,11 @@
 """Unavailable-value lists and the three serialization formats."""
 
 import json
+import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from squarepoint import model, report, search
 from squarepoint.filters import (
@@ -149,6 +151,61 @@ def test_serialize_rejects_unknown_format():
         serialize(sieve_z(12), "yaml")
     with pytest.raises(TypeError):
         serialize(object())
+
+
+def _write(tree) -> str:
+    out = []
+    report._write_json(tree, out, "\n")
+    return "".join(out)
+
+
+# quote, backslash, control and non-ASCII characters, besides any text
+_json_strings = st.text() | st.text(
+    st.sampled_from('a"\\/\n\t\x00\x1f\x7f\xe9\u20ac\U0001f600')
+)
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64).flatmap(lambda n: st.sampled_from([n, -n]))
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+    | _json_strings
+)
+_json_trees = st.recursive(
+    _json_scalars,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_json_strings, inner, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+@given(_json_trees)
+def test_json_writer_matches_stdlib(tree):
+    assert _write(tree) == json.dumps(tree, indent=2)
+
+
+def test_json_matches_stdlib_per_payload():
+    cases = [
+        (Candidate(7, 24, 52), report._candidate_to_dict),
+        (sieve_z(72), report.sieve_result_to_dict),
+        (search_range(1, 150), lambda rs: {"results": [report.sieve_result_to_dict(r) for r in rs]}),
+        (oracle_scan(ScanRequest(z_min=1, z_max=120, min_count=2)),
+         report.scan_report_to_dict),
+        (unavailable_lists(60), report.unavailable_to_dict),
+    ]
+    for payload, to_dict in cases:
+        expected = json.dumps(to_dict(payload), indent=2) + "\n"
+        assert serialize(payload, "json") == expected.encode("utf-8")
+
+
+def test_json_writer_rejects_other_types():
+    for bad in ({1, 2}, {"a": [frozenset()]}, b"bytes", object(), {1: "int key"}):
+        with pytest.raises(TypeError):
+            _write(bad)
 
 
 def test_deterministic_bytes():

@@ -234,6 +234,17 @@ def test_search_range_validation_and_budget():
         search_range(1, 100, budget=10**3)
 
 
+def test_default_budget_admits_z_up_to_1500(monkeypatch):
+    # 117,161,691 candidates, though (z - 1)**2 summed is 1.12 * 10**9;
+    # the stub shows the budget is settled before any z is sieved
+    monkeypatch.setattr(search, "sieve_z", lambda z, cfg: z)
+    assert search_range(1, 1500) == list(range(1, 1501))
+    total = sum(candidate_count(z) for z in range(1, 1501))
+    assert total == 117_161_691
+    with pytest.raises(BudgetExceededError):
+        search_range(1, 1500, budget=total - 1)
+
+
 def test_search_range_starts_no_idle_workers(monkeypatch):
     # a fake pool records the process count it is asked for and maps
     # serially, so no process is started
