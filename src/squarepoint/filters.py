@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 from typing import Callable, Iterator, NamedTuple
 
 from .arith import (
@@ -80,6 +81,10 @@ class Attribution(NamedTuple):
     @property
     def survived(self) -> bool:
         return self.eliminated_by is None
+
+
+# full_attribution of a candidate that every filter leaves undecided
+ALL_UNDECIDED = Attribution(tuple((fid, UNDECIDED) for fid in FilterId))
 
 
 # The congruence and prime-power conditions (theorem2, theorem4) quantify
@@ -172,9 +177,9 @@ def parity_clause(x: int, y: int, z: int) -> str | None:
     return None
 
 
-def parity_pairs(z: int) -> Iterator[tuple[int, int]]:
-    """The pairs of canonical_interior_pairs(z) that pass parity_clause, in
-    the same order.
+def parity_rows(z: int) -> Iterator[tuple[int, range]]:
+    """The pairs of canonical_interior_pairs(z) that pass parity_clause, as
+    rows (x, ys) in ascending x, one per x.
 
     None unless 12 divides z.  Then z is even, so a canonical pair with one
     odd and one even coordinate has x odd, 2x < z and y even, 2y <= z; y
@@ -185,8 +190,7 @@ def parity_pairs(z: int) -> Iterator[tuple[int, int]]:
     half = z // 2
     for x in range(1, half, 2):
         step = 4 if x % 3 == 0 else 12
-        for y in range(step, half + 1, step):
-            yield x, y
+        yield x, range(step, half + 1, step)
 
 
 def filter_parity_residue(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
@@ -223,6 +227,20 @@ def theorem1_failure(x: int, y: int, z: int) -> tuple[str, str, int, int] | None
     return None
 
 
+def theorem1_y_bounds(x: int, z: int) -> tuple[int, int]:
+    """(lo, hi) such that theorem1_failure(x, y, z) holds for 0 < y < z
+    exactly when y <= lo or y >= hi.
+
+    Each corner inequality a*a <= 2b bounds y on one side.  With m the
+    smaller and M the larger of x and z - x, the weakest ones are
+    y*y <= 2M and m*m <= 2(z - y), which hold for every y up to lo, and
+    m*m <= 2y and (z - y)**2 <= 2M, which hold for every y from hi on.
+    """
+    m = min(x, z - x)
+    big = isqrt(2 * (z - m))
+    return max(big, (2 * z - m * m) // 2), min(-(-m * m // 2), z - big)
+
+
 def filter_theorem1(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
     """At each corner with legs (a, b): a*a >= 2b+1 and b*b >= 2a+1, because
     the corner distance is an integer exceeding both legs."""
@@ -246,6 +264,18 @@ def theorem2_congruence(x: int, y: int, z: int) -> tuple[int, str] | None:
         if (x + y - z) % p == 0:
             return p, "B"
     return None
+
+
+def theorem2_marks(z: int) -> bytearray:
+    """Entry d + z, for d in -z..z, is 1 iff some p in NONRESIDUE_PRIMES
+    divides d.  So theorem2_congruence(x, y, z) holds iff entry y - x + z
+    (d = x - y, as the entries are symmetric) or entry x + y (d = x + y - z)
+    is 1."""
+    marks = bytearray(2 * z + 1)
+    for p in NONRESIDUE_PRIMES:
+        start = z % p
+        marks[start::p] = b"\x01" * len(range(start, 2 * z + 1, p))
+    return marks
 
 
 def filter_theorem2(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
@@ -492,10 +522,14 @@ def run_pipeline(c: Candidate, cfg: FilterConfig, mode: str = FIRST_HIT) -> Attr
     return Attribution(())
 
 
-def full_attribution(c: Candidate) -> Attribution:
+def full_attribution(c: Candidate, passed: frozenset[FilterId] = frozenset()) -> Attribution:
     """Every filter's verdict, whichever ran in the sieve, so that reports
-    can explain near-misses of survivors."""
-    return Attribution(tuple([(fid, func(c)) for fid, func in _FILTER_FUNCS.items()]))
+    can explain near-misses of survivors.  A filter in passed is known to
+    leave c undecided (the sieve's enabled filters leave its survivors so)
+    and is not called."""
+    return Attribution(tuple([
+        (fid, UNDECIDED if fid in passed else func(c)) for fid, func in _FILTER_FUNCS.items()
+    ]))
 
 
 def recheck_witness(c: Candidate, fid: FilterId, witness: dict) -> bool:

@@ -7,7 +7,9 @@ through A and D.  All reports use the fixed corner order A, B, C, D.
 
 from __future__ import annotations
 
+import itertools
 from math import gcd
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .arith import factorize, isqrt
@@ -92,9 +94,10 @@ def is_primitive_interior(c: Candidate) -> bool:
     return 0 < c.x < c.z and 0 < c.y < c.z and gcd(c.x, c.y, c.z) == 1
 
 
-def canonical_interior_pairs(z: int) -> Iterator[tuple[int, int]]:
-    """Yield the (x, y) of every canonical interior point of the square of
-    side z, ascending in (x, y).  Primitivity is NOT filtered here.
+def canonical_rows(z: int) -> Iterator[tuple[int, range]]:
+    """Yield the canonical interior points of the square of side z as rows
+    (x, ys), ascending in x: each ys is a step-2 range of y, and an x has
+    one or two rows.  Primitivity is NOT filtered here.
 
     Derived from canonicalize(): for even z the representatives are exactly
     (x odd, 2x <= z, y even, 2y <= z) plus (x, y same parity, x <= y,
@@ -108,25 +111,26 @@ def canonical_interior_pairs(z: int) -> Iterator[tuple[int, int]]:
     if z % 2 == 0:
         half = z // 2
         for x in range(1, half + 1):
+            yield x, range(x, half + 1, 2)
             if x % 2:
-                same_parity_ys = range(x, half + 1, 2)
-                even_ys = range(2, half + 1, 2)
-                for y in sorted([*same_parity_ys, *even_ys]):
-                    yield x, y
-            else:
-                for y in range(x, half + 1, 2):
-                    yield x, y
+                yield x, range(2, half + 1, 2)
     else:
         ymax = (z - 1) // 2  # 2y < z
         for x in range(1, z - 1, 2):
-            odd_ys = range(x, ymax + 1, 2) if x <= ymax else range(0)
-            even_ys = range(2, min(ymax, z - x) + 1, 2)
-            for y in sorted([*odd_ys, *even_ys]):
-                yield x, y
+            if x <= ymax:
+                yield x, range(x, ymax + 1, 2)
+            yield x, range(2, min(ymax, z - x) + 1, 2)
+
+
+def canonical_interior_pairs(z: int) -> Iterator[tuple[int, int]]:
+    """The (x, y) of canonical_rows(z), ascending in (x, y)."""
+    for x, rows in itertools.groupby(canonical_rows(z), key=itemgetter(0)):
+        for y in sorted(itertools.chain.from_iterable(ys for _, ys in rows)):
+            yield x, y
 
 
 def is_canonical(x: int, y: int, z: int) -> bool:
-    """True iff canonical_interior_pairs(z) yields (x, y): the same rule,
+    """True iff canonical_rows(z) holds (x, y): the same rule,
     tested on one pair."""
     if z % 2 == 0:
         return (0 < x and 0 < y and 2 * x <= z and 2 * y <= z

@@ -13,25 +13,26 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Iterator, NamedTuple
 
-from .arith import pythagorean_partners
+from .arith import factorize, pythagorean_partners
 from .filters import (
+    ALL_UNDECIDED,
     BIT,
     FIRST_HIT,
     Attribution,
     FilterConfig,
     FilterId,
     axis_masks,
-    boundary_tag,
     full_attribution,
-    parity_pairs,
-    theorem1_failure,
-    theorem2_congruence,
+    parity_rows,
+    theorem1_y_bounds,
+    theorem2_marks,
 )
 from .model import (
     Candidate,
     DistanceProfile,
     candidate_count,
     canonical_interior_pairs,
+    canonical_rows,
     canonicalize,
     distance_profile,
     is_canonical,
@@ -95,8 +96,10 @@ class SieveResult:
 
     candidates == survivors + sum of eliminated counts.  Survivors carry a
     full attribution over every filter (not only the enabled ones) so the
-    report can explain near-misses, and their exact distance profile; the
-    oracle fields summarize those profiles.
+    report can explain near-misses, equal to full_attribution of the
+    candidate: the enabled filters, which it passed, read UNDECIDED without
+    a call.  They also carry their exact distance profile; the oracle
+    fields summarize those profiles.
     """
 
     z: int
@@ -228,35 +231,122 @@ def _rows_and_columns(z: int, values: list[int]) -> Iterator[tuple[int, int]]:
                 yield t, v
 
 
+# A row byte has one bit for each filter that a walked pair can reach, in
+# FilterId order: bit 0 marks a position counted elsewhere (on a boundary or
+# lemma3 line) or not primitive, and the i-th filter from theorem1 on has
+# bit i - 2, so the lowest set bit is the first hit.  _ROW_CODE maps a row
+# byte to 1 + the index of its lowest set bit: 0 for a survivor, 1 for a
+# skipped position, i - 1 for the i-th filter.
+_ROW_FILTERS = tuple(FilterId)[3:]
+_THEOREM1_SHIFT, _THEOREM2_SHIFT = 1, 2
+_ROW_CODE = bytes((b & -b).bit_length() for b in range(256))
+
+
+def _ones(n: int) -> int:
+    """The row of n bytes with bit 0 set in each, as a little-endian int."""
+    return (1 << 8 * n) // 255
+
+
+def _row_bits(mask: int) -> int:
+    """The row byte of an axis mask (see axis_masks): lemma3's bit becomes
+    the skip bit, theorem3 to theorem6 keep their order."""
+    return mask >> 2 | mask >> 1 & 1
+
+
+def _walk_rows(
+    z: int,
+    rows: Iterator[tuple[int, range]],
+    x_mask: list[int],
+    y_mask: list[int],
+    boundary: int,
+    theorem1: int,
+    theorem2: int,
+) -> tuple[bytes, list[Candidate]]:
+    """The first-hit codes (see _ROW_CODE) of the pairs (x, y) of rows, row
+    after row, and the survivors among them, ascending (x, y).  boundary,
+    theorem1 and theorem2 are nonzero when those filters are enabled.
+
+    A row's bytes are one little-endian int, ORed from strided slices of
+    per-z tables: the one-axis bits of y, theorem2_marks and, for each
+    prime of gcd(x, z), its multiples.  x's one-axis bits fill the row,
+    theorem1 sets a prefix and a suffix (theorem1_y_bounds), and boundary
+    the row's points on a diagonal or midline.
+    """
+    y_bits = bytes(map(_row_bits, y_mask))
+    marks = theorem2_marks(z) if theorem2 else b""
+    multiples = []  # (p, entry y is 1 iff p divides y) for the primes p of z
+    for p, _ in factorize(z):
+        table = bytearray(z + 1)
+        table[::p] = b"\x01" * len(range(0, z + 1, p))
+        multiples.append((p, table))
+    midline = (z // 2,) if z % 2 == 0 else ()
+    out = []
+    survivors = []
+    for x, ys in rows:
+        start, stop, step = ys.start, ys.stop, ys.step
+        n = len(ys)
+        ones = _ones(n)
+        flags = int.from_bytes(y_bits[start:stop:step], "little") | _row_bits(x_mask[x]) * ones
+        if theorem1:
+            lo, hi = theorem1_y_bounds(x, z)
+            prefix = _ones(len(range(start, min(stop, lo + 1), step)))
+            suffix = ones - _ones(len(range(start, min(stop, hi), step)))
+            flags |= (prefix | suffix) << _THEOREM1_SHIFT
+        if theorem2:
+            flags |= (int.from_bytes(marks[start - x + z:stop - x + z:step], "little")
+                      | int.from_bytes(marks[start + x:stop + x:step], "little")
+                      ) << _THEOREM2_SHIFT
+        for p, table in multiples:
+            if x % p == 0:
+                flags |= int.from_bytes(table[start:stop:step], "little")
+        if boundary:
+            if 2 * x == z:
+                flags |= ones
+            for y in (x, z - x, *midline):
+                if y in ys:
+                    flags |= 1 << 8 * ys.index(y)
+        row = flags.to_bytes(n, "little")
+        i = row.find(0)
+        while i >= 0:
+            survivors.append(Candidate(x, ys[i], z))
+            i = row.find(0, i + 1)
+        out.append(row)
+    survivors.sort()  # an x's two canonical rows interleave in y
+    return b"".join(out).translate(_ROW_CODE), survivors
+
+
 def sieve_z(z: int, cfg: FilterConfig | None = None, mode: str = FIRST_HIT) -> SieveResult:
     """Classify every deduplicated primitive interior candidate at side z by
     the first enabled filter that rules it out; the oracle then profiles the
     survivors only.
 
-    Only the candidates that can pass parity are visited: parity_pairs(z)
-    with parity enabled, every canonical pair otherwise.  The rest are
-    counted.  The total is candidate_count(z); boundary's first hits are the
-    points on the midlines and diagonals, lemma3's those on the rows and
-    columns whose lemma3 bit is set (off boundary's lines when boundary is
-    enabled); parity's are whatever neither line count nor the visit holds.
-    A visited pair on a counted line is skipped; any other goes through
-    theorem1, theorem2 and the one-axis bits of x_mask[x] | y_mask[y] (see
-    axis_masks), whose lowest set bit is the first hit, so the counts equal
-    those of run_pipeline on each candidate.  Only survivors become
-    Candidates with verdicts; no witness is built for an eliminated one.
+    Only the candidates that can pass parity are visited, a row (x, ys) at
+    a time: parity_rows(z) with parity enabled, every canonical row
+    (model.canonical_rows) otherwise.  The rest are counted.  The total is
+    candidate_count(z); boundary's first hits are the points on the
+    midlines and diagonals, lemma3's those on the rows and columns whose
+    lemma3 bit is set (off boundary's lines when boundary is enabled);
+    parity's are whatever neither line count nor the visit holds.  A row
+    becomes one byte per pair (see _walk_rows), with a bit for each filter
+    that rules the pair out and one for a skipped pair: one not primitive
+    or on a counted line.  The lowest set bit is the first hit, so the
+    counts equal those of run_pipeline on each candidate.  Only survivors
+    become Candidates with verdicts, and a survivor's enabled filters read
+    UNDECIDED without a call; no witness is built for an eliminated one.
     """
     if mode != FIRST_HIT:
         raise ValueError(f"unknown pipeline mode {mode!r}")
     if z < 1:
         raise ValueError("z must be positive")
-    enabled = (cfg if cfg is not None else FilterConfig()).enabled
+    passed = enabled = (cfg if cfg is not None else FilterConfig()).enabled
     # each enabled pair filter's bit, and lemma3's, or 0 if it is disabled
     boundary, lemma3, parity, theorem1, theorem2 = (
         BIT[fid] if fid in enabled else 0
         for fid in (FilterId.BOUNDARY, FilterId.LEMMA3, FilterId.PARITY_RESIDUE,
                     FilterId.THEOREM1, FilterId.THEOREM2)
     )
-    if parity and z % 12:
+    walked = not parity or z % 12 == 0
+    if not walked:
         # no pair is visited, so only lemma3's lines read the masks
         enabled = enabled & {FilterId.LEMMA3}
     x_mask, y_mask = axis_masks(z, enabled)
@@ -269,32 +359,25 @@ def sieve_z(z: int, cfg: FilterConfig | None = None, mode: str = FIRST_HIT) -> S
     on_lemma3 = _on_lines(z, _rows_and_columns(
         z, [v for v in range(1, z) if x_mask[v] & lemma3]
     )) - on_boundary
+    codes, found = _walk_rows(
+        z, parity_rows(z) if parity else canonical_rows(z), x_mask, y_mask,
+        boundary, theorem1, theorem2,
+    ) if walked else (b"", [])
     counts = [0] * (1 << len(FilterId))  # indexed by the first hit's bit
-    survivors = []
-    reached = 0  # visited primitive pairs on no counted line
-    for x, y in parity_pairs(z) if parity else canonical_interior_pairs(z):
-        if gcd(x, y, z) != 1:
-            continue
-        hits = x_mask[x] | y_mask[y]
-        if boundary and boundary_tag(x, y, z) or hits & lemma3:
-            continue
-        reached += 1
-        if theorem1 and theorem1_failure(x, y, z):
-            hit = theorem1
-        elif theorem2 and theorem2_congruence(x, y, z):
-            hit = theorem2
-        elif hits:
-            hit = hits & -hits  # the lowest set bit: the first one-axis hit
-        else:
-            c = Candidate(x, y, z)
-            survivors.append(Survivor(c, full_attribution(c), distance_profile(c)))
-            continue
-        counts[hit] += 1
+    for code, fid in enumerate(_ROW_FILTERS, start=2):
+        counts[BIT[fid]] = codes.count(code)
     total = candidate_count(z)
     counts[boundary] += len(on_boundary)
     counts[lemma3] += len(on_lemma3)
-    # 0 with parity disabled: then every candidate is visited
-    counts[parity] += total - len(on_boundary) - len(on_lemma3) - reached
+    # 0 with parity disabled: then every candidate is visited; the walked
+    # primitive pairs on no counted line are the codes other than 1
+    counts[parity] += total - len(on_boundary) - len(on_lemma3) - (len(codes) - codes.count(1))
+    # a survivor passed every enabled filter: only the disabled ones need a call
+    survivors = [
+        Survivor(c, full_attribution(c, passed) if len(passed) < len(FilterId)
+                 else ALL_UNDECIDED, distance_profile(c))
+        for c in found
+    ]
     max_count = max((s.profile.integer_count for s in survivors), default=None)
     return SieveResult(
         z=z,

@@ -94,34 +94,43 @@ def check_first_hit(zs: tuple[int, ...]) -> CheckResult:
 
 ALL_FILTERS = (FilterConfig(),)
 SINGLE_FILTERS = tuple(FilterConfig.only(fid) for fid in FilterId)
+LEAVE_ONE_OUT = tuple(FilterConfig(frozenset(FilterId) - {fid}) for fid in FilterId)
+
+
+def sieve_matches_reference(z: int, cfg: FilterConfig) -> bool:
+    """sieve_z(z, cfg) equals a run_pipeline loop over each candidate:
+    candidate count, per-filter counts and survivors, and each survivor
+    carries full_attribution and distance_profile of its candidate."""
+    counts = dict.fromkeys(FilterId, 0)
+    survivors = []
+    total = 0
+    for c in enumerate_candidates(z, dedup=True):
+        total += 1
+        hit = run_pipeline(c, cfg).eliminated_by
+        if hit is None:
+            survivors.append(c)
+        else:
+            counts[hit] += 1
+    result = sieve_z(z, cfg)
+    return (
+        result.candidates == total
+        and dict(result.eliminated) == counts
+        and [s.candidate for s in result.survivors] == survivors
+        and all(s.attribution == full_attribution(s.candidate)
+                and s.profile == distance_profile(s.candidate)
+                for s in result.survivors)
+    )
 
 
 def check_sieve_reference(z_max: int, cfgs: tuple[FilterConfig, ...]) -> CheckResult:
-    """The table-driven sieve_z equals a run_pipeline loop over each
-    candidate: candidate count, per-filter counts and survivors, at every
-    z <= z_max, for each config."""
-    failures = []
-    for cfg in cfgs:
-        for z in range(1, z_max + 1):
-            counts = dict.fromkeys(FilterId, 0)
-            survivors = []
-            total = 0
-            for c in enumerate_candidates(z, dedup=True):
-                total += 1
-                hit = run_pipeline(c, cfg).eliminated_by
-                if hit is None:
-                    survivors.append(c)
-                else:
-                    counts[hit] += 1
-            result = sieve_z(z, cfg)
-            if (
-                result.candidates != total
-                or dict(result.eliminated) != counts
-                or [s.candidate for s in result.survivors] != survivors
-            ):
-                failures.append((z, sorted(f.value for f in cfg.enabled)))
+    """sieve_matches_reference at every z <= z_max, for each config."""
     return _check(f"table sieve matches run_pipeline (z <= {z_max}, "
-                  f"filter configs: {len(cfgs)})", failures)
+                  f"filter configs: {len(cfgs)})", [
+        (z, sorted(f.value for f in cfg.enabled))
+        for cfg in cfgs
+        for z in range(1, z_max + 1)
+        if not sieve_matches_reference(z, cfg)
+    ])
 
 
 def check_witnesses(z_max: int) -> CheckResult:
@@ -194,6 +203,7 @@ SUITES: dict[str, Callable[[], list[CheckResult]]] = {
         check_first_hit((60, 84)),
         check_sieve_reference(96, ALL_FILTERS),
         check_sieve_reference(36, SINGLE_FILTERS),
+        check_sieve_reference(48, LEAVE_ONE_OUT),
     ],
     "paper": lambda: [
         check_z60_lists(),

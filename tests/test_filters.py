@@ -23,15 +23,19 @@ from squarepoint.filters import (
     full_attribution,
     lemma3_divisors,
     parity_clause,
-    parity_pairs,
+    parity_rows,
     recheck_witness,
     run_pipeline,
     shape5_prime_allowed,
     shape5_prime_allowed_literal,
+    theorem1_failure,
+    theorem1_y_bounds,
+    theorem2_congruence,
+    theorem2_marks,
     theorem4_root,
     theorem5_shape,
 )
-from squarepoint.model import Candidate, canonical_interior_pairs
+from squarepoint.model import Candidate, canonical_interior_pairs, canonical_rows
 from squarepoint.search import enumerate_candidates
 from squarepoint.selfcheck import check_first_hit
 
@@ -259,4 +263,43 @@ def test_recheck_rejects_forged_witnesses():
 def test_parity_pairs_are_the_canonical_pairs_passing_parity():
     for z in range(1, 301):
         expected = [p for p in canonical_interior_pairs(z) if parity_clause(*p, z) is None]
-        assert list(parity_pairs(z)) == expected, z
+        assert [(x, y) for x, ys in parity_rows(z) for y in ys] == expected, z
+
+
+def test_theorem1_y_bounds_match_theorem1_failure_on_rows():
+    # every canonical row, so every parity row too, and x > z/2 at odd z
+    for z in range(2, 401):
+        for x, ys in canonical_rows(z):
+            lo, hi = theorem1_y_bounds(x, z)
+            for y in ys:
+                assert (y <= lo or y >= hi) == (theorem1_failure(x, y, z) is not None), (x, y, z)
+
+
+def test_theorem1_y_bounds_hold_off_the_canonical_rows():
+    for z in range(2, 61):
+        for x in range(1, z):
+            lo, hi = theorem1_y_bounds(x, z)
+            assert [y for y in range(1, z) if y <= lo or y >= hi] == [
+                y for y in range(1, z) if theorem1_failure(x, y, z)
+            ], (x, z)
+
+
+def test_theorem2_marks_entries():
+    for z in range(1, 301):
+        marks = theorem2_marks(z)
+        assert len(marks) == 2 * z + 1
+        for d in range(-z, z + 1):
+            assert marks[d + z] == any(d % p == 0 for p in NONRESIDUE_PRIMES), (d, z)
+
+
+def test_theorem2_marks_row_slices_match_theorem2_congruence():
+    # the two strided slices the sieve reads for a row (x, ys)
+    for z in range(2, 151):
+        marks = theorem2_marks(z)
+        for x, ys in canonical_rows(z):
+            start, stop, step = ys.start, ys.stop, ys.step
+            a = marks[start - x + z:stop - x + z:step]
+            b = marks[start + x:stop + x:step]
+            assert [p | q for p, q in zip(a, b)] == [
+                theorem2_congruence(x, y, z) is not None for y in ys
+            ], (x, ys, z)

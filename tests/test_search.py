@@ -4,6 +4,7 @@ import itertools
 import multiprocessing
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from squarepoint import search
 from squarepoint.filters import FilterConfig, FilterId
@@ -24,9 +25,11 @@ from squarepoint.search import (
 )
 from squarepoint.selfcheck import (
     ALL_FILTERS,
+    LEAVE_ONE_OUT,
     SINGLE_FILTERS,
     check_sieve_reference,
     check_witnesses,
+    sieve_matches_reference,
 )
 
 
@@ -169,14 +172,18 @@ def test_sieve_matches_run_pipeline():
     two_filters = tuple(
         FilterConfig.only(a, b) for a, b in itertools.combinations(FilterId, 2)
     ) + (FilterConfig.only(),)
-    leave_one_out = tuple(
-        FilterConfig(enabled=frozenset(FilterId) - {fid}) for fid in FilterId
-    )
     for result in (check_sieve_reference(96, ALL_FILTERS),
                    check_sieve_reference(36, SINGLE_FILTERS),
                    check_sieve_reference(40, two_filters),
-                   check_sieve_reference(72, leave_one_out)):
+                   check_sieve_reference(72, LEAVE_ONE_OUT)):
         assert result.ok, result.detail
+
+
+@settings(deadline=None)
+@given(st.frozensets(st.sampled_from(FilterId)), st.integers(1, 150))
+def test_sieve_matches_run_pipeline_for_any_config(enabled, z):
+    # configs of 3 to 8 filters, which the families above never build
+    assert sieve_matches_reference(z, FilterConfig(enabled))
 
 
 def test_sieve_counts_add_up():
