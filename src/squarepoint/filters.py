@@ -112,22 +112,16 @@ class FilterConfig:
         return cls(enabled=frozenset(filter_ids))
 
 
-def boundary_tag(x: int, y: int, z: int) -> str | None:
-    """Which boundary line (x, y) lies on at side z, or None."""
-    if x == 0 or x == z or y == 0 or y == z:
-        return "edge"
-    if 2 * x == z or 2 * y == z:
-        return "midline"
-    if x == y or x + y == z:
-        return "diagonal"
-    return None
-
-
 def filter_boundary(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
     """Edges, midlines and diagonals carry no four-distance point."""
     x, y, z = c
-    tag = boundary_tag(x, y, z)
-    if tag is None:
+    if x == 0 or x == z or y == 0 or y == z:
+        tag = "edge"
+    elif 2 * x == z or 2 * y == z:
+        tag = "midline"
+    elif x == y or x + y == z:
+        tag = "diagonal"
+    else:
         return UNDECIDED
     return Verdict(FilterId.BOUNDARY, {"kind": "boundary", "tag": tag})
 
@@ -159,27 +153,9 @@ def filter_lemma3(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
     return UNDECIDED
 
 
-def parity_clause(x: int, y: int, z: int) -> str | None:
-    """The first parity or residue clause (x, y) violates at side z, or None.
-
-    The mod-3 clause is reached only when 3 divides z.  Then the legs of
-    every corner are congruent to (+-x, +-y) mod 3, so one corner lacks a
-    leg divisible by 3 exactly when corner A does.
-    """
-    if x % 2 == y % 2:
-        return "one_odd_one_even"
-    if (y if x % 2 else x) % 4:
-        return "even_coordinate_mod_4"
-    if z % 12:
-        return "side_mod_12"
-    if x % 3 and y % 3:
-        return "corner_mod_3"
-    return None
-
-
 def parity_rows(z: int) -> Iterator[tuple[int, range]]:
-    """The pairs of canonical_interior_pairs(z) that pass parity_clause, as
-    rows (x, ys) in ascending x, one per x.
+    """The pairs of canonical_interior_pairs(z) that filter_parity_residue
+    leaves undecided, as rows (x, ys) in ascending x, one per x.
 
     None unless 12 divides z.  Then z is even, so a canonical pair with one
     odd and one even coordinate has x odd, 2x < z and y even, 2y <= z; y
@@ -197,38 +173,32 @@ def filter_parity_residue(c: Candidate, cfg: FilterConfig | None = None) -> Verd
     """Parity and residue constraints: one coordinate odd, the even one a
     multiple of 4, z a multiple of 12, and every corner owning a leg
     divisible by 3 (otherwise that squared distance is 2 mod 3).
+
+    The clauses are tried in that order.  The mod-3 clause is reached only
+    when 3 divides z.  Then the legs of every corner are congruent to
+    (+-x, +-y) mod 3, so one corner lacks a leg divisible by 3 exactly when
+    corner A does.
     """
     x, y, z = c
-    clause = parity_clause(x, y, z)
-    if clause is None:
+    even = y if x % 2 else x
+    if x % 2 == y % 2:
+        witness = {"kind": "parity", "clause": "one_odd_one_even"}
+    elif even % 4:
+        witness = {"kind": "parity", "clause": "even_coordinate_mod_4", "value": even}
+    elif z % 12:
+        witness = {"kind": "parity", "clause": "side_mod_12"}
+    elif x % 3 and y % 3:
+        witness = {"kind": "parity", "clause": "corner_mod_3", "corner": "A", "legs": [x, y]}
+    else:
         return UNDECIDED
-    witness = {"kind": "parity", "clause": clause}
-    if clause == "even_coordinate_mod_4":
-        witness["value"] = y if x % 2 else x
-    elif clause == "corner_mod_3":
-        witness.update(corner="A", legs=[x, y])
     return Verdict(FilterId.PARITY_RESIDUE, witness)
 
 
 _LEG_NAMES = (("x", "y"), ("x", "z-y"), ("z-x", "z-y"), ("z-x", "y"))
 
 
-def theorem1_failure(x: int, y: int, z: int) -> tuple[str, str, int, int] | None:
-    """(corner, leg, lhs, rhs) of the first corner inequality a*a >= 2b+1
-    that (x, y) breaks at side z, in corner then leg order; None if none."""
-    # a leg whose square is at least 2z - 1 exceeds twice any other leg
-    if min(x, y, z - x, z - y) ** 2 >= 2 * z - 1:
-        return None
-    legs = ((x, y), (x, z - y), (z - x, z - y), (z - x, y))
-    for corner, (a, b), (na, nb) in zip(CORNERS, legs, _LEG_NAMES):
-        for leg, val, other in ((na, a, b), (nb, b, a)):
-            if val * val < 2 * other + 1:
-                return corner, leg, val * val, 2 * other + 1
-    return None
-
-
 def theorem1_y_bounds(x: int, z: int) -> tuple[int, int]:
-    """(lo, hi) such that theorem1_failure(x, y, z) holds for 0 < y < z
+    """(lo, hi) such that filter_theorem1 rules out (x, y, z) for 0 < y < z
     exactly when y <= lo or y >= hi.
 
     Each corner inequality a*a <= 2b bounds y on one side.  With m the
@@ -243,32 +213,26 @@ def theorem1_y_bounds(x: int, z: int) -> tuple[int, int]:
 
 def filter_theorem1(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
     """At each corner with legs (a, b): a*a >= 2b+1 and b*b >= 2a+1, because
-    the corner distance is an integer exceeding both legs."""
+    the corner distance is an integer exceeding both legs.  The witness
+    cites the first inequality broken, in corner then leg order."""
     x, y, z = c
-    failure = theorem1_failure(x, y, z)
-    if failure is None:
+    # a leg whose square is at least 2z - 1 exceeds twice any other leg
+    if min(x, y, z - x, z - y) ** 2 >= 2 * z - 1:
         return UNDECIDED
-    corner, leg, lhs, rhs = failure
-    return Verdict(
-        FilterId.THEOREM1,
-        {"kind": "inequality", "corner": corner, "leg": leg, "lhs": lhs, "rhs": rhs},
-    )
-
-
-def theorem2_congruence(x: int, y: int, z: int) -> tuple[int, str] | None:
-    """(p, corner) for the smallest p in NONRESIDUE_PRIMES with x = y (corner
-    A) or x + y = z (corner B) mod p, A on a tie; None if there is none."""
-    for p in NONRESIDUE_PRIMES:
-        if (x - y) % p == 0:
-            return p, "A"
-        if (x + y - z) % p == 0:
-            return p, "B"
-    return None
+    legs = ((x, y), (x, z - y), (z - x, z - y), (z - x, y))
+    for corner, (a, b), (na, nb) in zip(CORNERS, legs, _LEG_NAMES):
+        for leg, val, other in ((na, a, b), (nb, b, a)):
+            if val * val < 2 * other + 1:
+                return Verdict(FilterId.THEOREM1, {
+                    "kind": "inequality", "corner": corner, "leg": leg,
+                    "lhs": val * val, "rhs": 2 * other + 1,
+                })
+    return UNDECIDED
 
 
 def theorem2_marks(z: int) -> bytearray:
     """Entry d + z, for d in -z..z, is 1 iff some p in NONRESIDUE_PRIMES
-    divides d.  So theorem2_congruence(x, y, z) holds iff entry y - x + z
+    divides d.  So filter_theorem2 rules out (x, y, z) iff entry y - x + z
     (d = x - y, as the entries are symmetric) or entry x + y (d = x + y - z)
     is 1."""
     marks = bytearray(2 * z + 1)
@@ -290,17 +254,21 @@ def filter_theorem2(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
     The witness cites A or B with its legs.  If p divides both of them, the
     paired corner (A with C, B with D) proves the claim instead: its legs
     are congruent to (z, z) mod p, and p does not divide z because the
-    candidate is primitive (p would divide x, y and z).
+    candidate is primitive (p would divide x, y and z).  It cites the
+    smallest p that holds, and A on a tie.
     """
     x, y, z = c
-    hit = theorem2_congruence(x, y, z)
-    if hit is None:
-        return UNDECIDED
-    p, corner = hit
-    legs = [x, y] if corner == "A" else [x, z - y]
-    return Verdict(
-        FilterId.THEOREM2, {"kind": "congruence", "p": p, "corner": corner, "legs": legs}
-    )
+    for p in NONRESIDUE_PRIMES:
+        if (x - y) % p == 0:
+            corner, legs = "A", [x, y]
+        elif (x + y - z) % p == 0:
+            corner, legs = "B", [x, z - y]
+        else:
+            continue
+        return Verdict(
+            FilterId.THEOREM2, {"kind": "congruence", "p": p, "corner": corner, "legs": legs}
+        )
+    return UNDECIDED
 
 
 def odd_prime(t: int) -> bool:

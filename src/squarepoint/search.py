@@ -232,13 +232,12 @@ def _rows_and_columns(z: int, values: list[int]) -> Iterator[tuple[int, int]]:
 
 
 # A row byte has one bit for each filter that a walked pair can reach, in
-# FilterId order: bit 0 marks a position counted elsewhere (on a boundary or
-# lemma3 line) or not primitive, and the i-th filter from theorem1 on has
-# bit i - 2, so the lowest set bit is the first hit.  _ROW_CODE maps a row
-# byte to 1 + the index of its lowest set bit: 0 for a survivor, 1 for a
-# skipped position, i - 1 for the i-th filter.
+# FilterId order: bit 0 marks a pair that a line count holds (see sieve_z)
+# or that is not primitive, and each filter from theorem1 on has its BIT >> 2,
+# so the lowest set bit is the first hit.  _ROW_CODE maps a row byte to 1 +
+# the index of its lowest set bit: 0 for a survivor, 1 for a skipped pair,
+# i - 1 for the i-th filter.
 _ROW_FILTERS = tuple(FilterId)[3:]
-_THEOREM1_SHIFT, _THEOREM2_SHIFT = 1, 2
 _ROW_CODE = bytes((b & -b).bit_length() for b in range(256))
 
 
@@ -247,64 +246,58 @@ def _ones(n: int) -> int:
     return (1 << 8 * n) // 255
 
 
-def _row_bits(mask: int) -> int:
-    """The row byte of an axis mask (see axis_masks): lemma3's bit becomes
-    the skip bit, theorem3 to theorem6 keep their order."""
-    return mask >> 2 | mask >> 1 & 1
-
-
 def _walk_rows(
     z: int,
     rows: Iterator[tuple[int, range]],
     x_mask: list[int],
     y_mask: list[int],
-    boundary: int,
+    counted: set[tuple[int, int]],
     theorem1: int,
     theorem2: int,
 ) -> tuple[bytes, list[Candidate]]:
     """The first-hit codes (see _ROW_CODE) of the pairs (x, y) of rows, row
-    after row, and the survivors among them, ascending (x, y).  boundary,
-    theorem1 and theorem2 are nonzero when those filters are enabled.
+    after row, and the survivors among them, ascending (x, y).  counted
+    holds the pairs to skip; theorem1 and theorem2 are their filters' row
+    bits, 0 when they are disabled.
 
     A row's bytes are one little-endian int, ORed from strided slices of
     per-z tables: the one-axis bits of y, theorem2_marks and, for each
     prime of gcd(x, z), its multiples.  x's one-axis bits fill the row,
-    theorem1 sets a prefix and a suffix (theorem1_y_bounds), and boundary
-    the row's points on a diagonal or midline.
+    theorem1 sets a prefix and a suffix (theorem1_y_bounds), and the
+    counted pairs of the row set bit 0.
     """
-    y_bits = bytes(map(_row_bits, y_mask))
+    y_bits = bytes(mask >> 2 for mask in y_mask)
     marks = theorem2_marks(z) if theorem2 else b""
     multiples = []  # (p, entry y is 1 iff p divides y) for the primes p of z
     for p, _ in factorize(z):
         table = bytearray(z + 1)
         table[::p] = b"\x01" * len(range(0, z + 1, p))
         multiples.append((p, table))
-    midline = (z // 2,) if z % 2 == 0 else ()
+    counted_ys: dict[int, list[int]] = {}
+    for x, y in counted:
+        counted_ys.setdefault(x, []).append(y)
     out = []
     survivors = []
     for x, ys in rows:
         start, stop, step = ys.start, ys.stop, ys.step
         n = len(ys)
         ones = _ones(n)
-        flags = int.from_bytes(y_bits[start:stop:step], "little") | _row_bits(x_mask[x]) * ones
+        flags = int.from_bytes(y_bits[start:stop:step], "little") | (x_mask[x] >> 2) * ones
         if theorem1:
             lo, hi = theorem1_y_bounds(x, z)
             prefix = _ones(len(range(start, min(stop, lo + 1), step)))
             suffix = ones - _ones(len(range(start, min(stop, hi), step)))
-            flags |= (prefix | suffix) << _THEOREM1_SHIFT
+            flags |= (prefix | suffix) * theorem1
         if theorem2:
             flags |= (int.from_bytes(marks[start - x + z:stop - x + z:step], "little")
                       | int.from_bytes(marks[start + x:stop + x:step], "little")
-                      ) << _THEOREM2_SHIFT
+                      ) * theorem2
         for p, table in multiples:
             if x % p == 0:
                 flags |= int.from_bytes(table[start:stop:step], "little")
-        if boundary:
-            if 2 * x == z:
-                flags |= ones
-            for y in (x, z - x, *midline):
-                if y in ys:
-                    flags |= 1 << 8 * ys.index(y)
+        for y in counted_ys.get(x, ()):
+            if y in ys:
+                flags |= 1 << 8 * ys.index(y)
         row = flags.to_bytes(n, "little")
         i = row.find(0)
         while i >= 0:
@@ -361,7 +354,7 @@ def sieve_z(z: int, cfg: FilterConfig | None = None, mode: str = FIRST_HIT) -> S
     )) - on_boundary
     codes, found = _walk_rows(
         z, parity_rows(z) if parity else canonical_rows(z), x_mask, y_mask,
-        boundary, theorem1, theorem2,
+        on_boundary | on_lemma3, theorem1 >> 2, theorem2 >> 2,
     ) if walked else (b"", [])
     counts = [0] * (1 << len(FilterId))  # indexed by the first hit's bit
     for code, fid in enumerate(_ROW_FILTERS, start=2):

@@ -22,15 +22,12 @@ from squarepoint.filters import (
     filter_theorem6,
     full_attribution,
     lemma3_divisors,
-    parity_clause,
     parity_rows,
     recheck_witness,
     run_pipeline,
     shape5_prime_allowed,
     shape5_prime_allowed_literal,
-    theorem1_failure,
     theorem1_y_bounds,
-    theorem2_congruence,
     theorem2_marks,
     theorem4_root,
     theorem5_shape,
@@ -47,6 +44,8 @@ def test_boundary():
     assert filter_boundary(Candidate(30, 14, 60)).witness["tag"] == "midline"
     assert filter_boundary(Candidate(9, 9, 60)).witness["tag"] == "diagonal"
     assert filter_boundary(Candidate(9, 51, 60)).witness["tag"] == "diagonal"
+    # on a midline and a diagonal at once: midline is tried first
+    assert filter_boundary(Candidate(1, 1, 2)).witness["tag"] == "midline"
     assert not filter_boundary(Candidate(7, 24, 52)).eliminated
 
 
@@ -76,6 +75,10 @@ def test_parity_residue():
     assert filter_parity_residue(Candidate(7, 26, 60)).witness["clause"] == (
         "even_coordinate_mod_4"
     )
+    # 52 is not a multiple of 12 either; the mod-4 clause is tried first
+    assert filter_parity_residue(Candidate(7, 26, 52)).witness == {
+        "kind": "parity", "clause": "even_coordinate_mod_4", "value": 26
+    }
     v = filter_parity_residue(Candidate(1, 4, 12))
     assert v.witness["clause"] == "corner_mod_3"
     assert v.witness["corner"] == "A"
@@ -97,6 +100,10 @@ def test_theorem2():
     # 5 + 4 - 116 = -107 and (2/107) = -1, but 107 is above the truncation
     assert not filter_theorem2(Candidate(5, 4, 116), CFG).eliminated
     assert filter_theorem2(Candidate(11, 11, 24), CFG).eliminated
+    # A holds at p = 5 (7 - 2) but B at p = 3 (7 + 2 - 60): the smaller p wins
+    assert filter_theorem2(Candidate(7, 2, 60)).witness == {
+        "kind": "congruence", "p": 3, "corner": "B", "legs": [7, 58]
+    }
 
 
 def test_theorem2_witness_paired_corner():
@@ -262,17 +269,22 @@ def test_recheck_rejects_forged_witnesses():
 
 def test_parity_pairs_are_the_canonical_pairs_passing_parity():
     for z in range(1, 301):
-        expected = [p for p in canonical_interior_pairs(z) if parity_clause(*p, z) is None]
+        expected = [
+            p for p in canonical_interior_pairs(z)
+            if not filter_parity_residue(Candidate(*p, z)).eliminated
+        ]
         assert [(x, y) for x, ys in parity_rows(z) for y in ys] == expected, z
 
 
-def test_theorem1_y_bounds_match_theorem1_failure_on_rows():
+def test_theorem1_y_bounds_match_filter_theorem1_on_rows():
     # every canonical row, so every parity row too, and x > z/2 at odd z
     for z in range(2, 401):
         for x, ys in canonical_rows(z):
             lo, hi = theorem1_y_bounds(x, z)
             for y in ys:
-                assert (y <= lo or y >= hi) == (theorem1_failure(x, y, z) is not None), (x, y, z)
+                assert (y <= lo or y >= hi) == (
+                    filter_theorem1(Candidate(x, y, z)).eliminated
+                ), (x, y, z)
 
 
 def test_theorem1_y_bounds_hold_off_the_canonical_rows():
@@ -280,7 +292,7 @@ def test_theorem1_y_bounds_hold_off_the_canonical_rows():
         for x in range(1, z):
             lo, hi = theorem1_y_bounds(x, z)
             assert [y for y in range(1, z) if y <= lo or y >= hi] == [
-                y for y in range(1, z) if theorem1_failure(x, y, z)
+                y for y in range(1, z) if filter_theorem1(Candidate(x, y, z)).eliminated
             ], (x, z)
 
 
@@ -292,7 +304,7 @@ def test_theorem2_marks_entries():
             assert marks[d + z] == any(d % p == 0 for p in NONRESIDUE_PRIMES), (d, z)
 
 
-def test_theorem2_marks_row_slices_match_theorem2_congruence():
+def test_theorem2_marks_row_slices_match_filter_theorem2():
     # the two strided slices the sieve reads for a row (x, ys)
     for z in range(2, 151):
         marks = theorem2_marks(z)
@@ -301,5 +313,5 @@ def test_theorem2_marks_row_slices_match_theorem2_congruence():
             a = marks[start - x + z:stop - x + z:step]
             b = marks[start + x:stop + x:step]
             assert [p | q for p, q in zip(a, b)] == [
-                theorem2_congruence(x, y, z) is not None for y in ys
+                filter_theorem2(Candidate(x, y, z)).eliminated for y in ys
             ], (x, ys, z)
