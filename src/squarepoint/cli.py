@@ -74,7 +74,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--include-boundary", action="store_true")
     p.add_argument("--all-points", action="store_true",
                    help="include non-primitive points")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="most points (x, y) the scan may visit: (z - 1)**2 "
+                        "per z, (z + 1)**2 with --include-boundary")
     add_output_flags(p)
 
     p = sub.add_parser("lists", help="values ruled out for x and y at one side")

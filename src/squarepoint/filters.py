@@ -11,6 +11,7 @@ known three-distance point is legitimate.
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -423,33 +424,44 @@ def filter_theorem6(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
     return Verdict(FilterId.THEOREM6, witness)
 
 
-# The one-axis filters: the axes whose side values each rules out, and its
-# per-value test on (v, z).  A side value v is ruled out when v or z - v
-# passes the test; for theorem6, only when both do.
-ONE_AXIS: dict[FilterId, tuple[str, Callable[[int, int], object]]] = {
-    FilterId.LEMMA3: ("xy", lambda v, z: v in lemma3_divisors(z)),
-    FilterId.THEOREM3: ("x", lambda v, z: odd_prime(v)),
-    FilterId.THEOREM4: ("x", lambda v, z: theorem4_root(v)),
-    FilterId.THEOREM5: ("y", lambda v, z: theorem5_shape(v)),
-    FilterId.COROLLARY52: ("x", lambda v, z: cor52_split(v)),
-    FilterId.THEOREM6: ("x", lambda v, z: odd_semiprime(v)),
+# The one-axis filters: the axes whose side values each rules out, whether
+# its per-value test reads z, and that test on (v, z).  A side value v is
+# ruled out when v or z - v passes the test; for theorem6, only when both do.
+ONE_AXIS: dict[FilterId, tuple[str, bool, Callable[[int, int], object]]] = {
+    FilterId.LEMMA3: ("xy", True, lambda v, z: v in lemma3_divisors(z)),
+    FilterId.THEOREM3: ("x", False, lambda v, z: odd_prime(v)),
+    FilterId.THEOREM4: ("x", False, lambda v, z: theorem4_root(v)),
+    FilterId.THEOREM5: ("y", False, lambda v, z: theorem5_shape(v)),
+    FilterId.COROLLARY52: ("x", False, lambda v, z: cor52_split(v)),
+    FilterId.THEOREM6: ("x", False, lambda v, z: odd_semiprime(v)),
 }
+
+# Per one-axis filter whose test ignores z: entry v is 1 iff v passes it, for
+# v up to the largest z seen in this process.  A longer table replaces the
+# stored one, so a reader never sees a part still being filled.
+_PASSES: dict[FilterId, bytes] = {}
 
 
 def axis_masks(z: int, enabled: frozenset[FilterId]) -> tuple[list[int], list[int]]:
     """Per side value v in 0..z, the BIT masks of the enabled one-axis
     filters that rule out x = v and of those that rule out y = v."""
     masks = {"x": [0] * (z + 1), "y": [0] * (z + 1)}
-    for fid, (axes, test) in ONE_AXIS.items():
+    for fid, (axes, reads_z, test) in ONE_AXIS.items():
         if fid not in enabled:
             continue
-        passed = {v for v in range(z + 1) if test(v, z)}
-        reflected = {z - v for v in passed}
-        ruled_out = passed & reflected if fid is FilterId.THEOREM6 else passed | reflected
+        passed = b"" if reads_z else _PASSES.get(fid, b"")
+        if len(passed) <= z:
+            passed += bytes(bool(test(v, z)) for v in range(len(passed), z + 1))
+            if not reads_z:
+                _PASSES[fid] = passed
+        # read big-endian, the entries 0..z give v the entry of z - v
+        window = passed[:z + 1]
+        own, reflected = int.from_bytes(window, "little"), int.from_bytes(window, "big")
+        ruled = own & reflected if fid is FilterId.THEOREM6 else own | reflected
         bit = BIT[fid]
         for axis in axes:
             mask = masks[axis]
-            for v in ruled_out:
+            for v in itertools.compress(range(z + 1), ruled.to_bytes(z + 1, "little")):
                 mask[v] |= bit
     return masks["x"], masks["y"]
 

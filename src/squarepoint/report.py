@@ -68,7 +68,7 @@ def unavailable_lists(z: int) -> UnavailableLists:
     x_mask, y_mask = axis_masks(z, frozenset(_SOURCE_LABELS))
 
     def lists(fid: FilterId, mask: list[int], clear: int = 0) -> ValueLists:
-        bit, test = BIT[fid], ONE_AXIS[fid][1]
+        bit, test = BIT[fid], ONE_AXIS[fid][2]
         combined = tuple(v for v in range(1, z) if mask[v] & (bit | clear) == bit)
         return ValueLists(tuple(v for v in combined if test(v, z)), combined)
 
@@ -93,8 +93,16 @@ def _verdict_to_dict(fid: FilterId, verdict: Verdict) -> dict:
     }
 
 
+# Each filter's UNDECIDED entry, one object shared by every attribution that
+# holds it, so _write_json renders it once per indent.  Do not mutate them.
+_UNDECIDED_ENTRIES = {fid: _verdict_to_dict(fid, UNDECIDED) for fid in FilterId}
+
+
 def _attribution_to_list(attribution: Attribution) -> list[dict]:
-    return [_verdict_to_dict(fid, v) for fid, v in attribution.entries]
+    return [
+        _UNDECIDED_ENTRIES[fid] if v is UNDECIDED else _verdict_to_dict(fid, v)
+        for fid, v in attribution.entries
+    ]
 
 
 def _corners_to_dict(profile: DistanceProfile) -> dict:
@@ -363,6 +371,8 @@ def _render_text(result) -> str:
 
 
 _escape = json.encoder.encode_basestring_ascii  # the C escaper where built
+# id of a shared UNDECIDED entry -> {nl: its text}
+_ENTRY_TEXTS: dict[int, dict[str, str]] = {id(e): {} for e in _UNDECIDED_ENTRIES.values()}
 
 
 def _write_json(o, out: list[str], nl: str) -> None:
@@ -372,7 +382,8 @@ def _write_json(o, out: list[str], nl: str) -> None:
     json.dumps runs its C encoder only without indent; with indent=2 every
     value passes through one Python generator per enclosing container.
     Only str keys and the types json.dumps itself encodes are written; any
-    other type raises TypeError.
+    other type raises TypeError.  A shared UNDECIDED entry is rendered once
+    per nl and its text reused.
     """
     if isinstance(o, str):
         out.append(_escape(o))
@@ -394,6 +405,12 @@ def _write_json(o, out: list[str], nl: str) -> None:
             _write_json(v, out, inner)
             sep = "," + inner
         out.append(nl + "]" if o else "[]")
+    elif (texts := _ENTRY_TEXTS.get(id(o))) is not None:
+        if nl not in texts:
+            part: list[str] = []
+            _write_json(dict(o), part, nl)  # the copy is not shared: written out
+            texts[nl] = "".join(part)
+        out.append(texts[nl])
     elif isinstance(o, dict):
         inner = nl + "  "
         sep = "{" + inner

@@ -43,7 +43,7 @@ DEFAULT_BUDGET = 10**9
 
 
 class BudgetExceededError(RuntimeError):
-    """The requested region exceeds the candidate budget."""
+    """The requested region exceeds its budget."""
 
 
 @dataclass(frozen=True)
@@ -135,6 +135,7 @@ def _side_lengths(
     budget: int,
     charge: Callable[[int], int],
     region: str,
+    unit: str,
 ) -> range:
     """The z in [z_min, z_max] (only z = 0 (mod 12) with mod12_only), once
     the work charge(z) of each, summed, is known to fit in budget."""
@@ -145,7 +146,7 @@ def _side_lengths(
     # stop summing at the first z over budget: a huge range is refused at once
     if any(total > budget for total in itertools.accumulate(map(charge, zs))):
         raise BudgetExceededError(
-            f"{region} holds more than budget={budget} candidates"
+            f"{region} holds more than budget={budget} {unit}"
         )
     return zs
 
@@ -196,7 +197,7 @@ def oracle_scan(req: ScanRequest) -> ScanReport:
     # the oracle visits every pair (x, y), the boundary included if asked
     pad = 1 if req.include_boundary else -1
     zs = _side_lengths(req.z_min, req.z_max, req.mod12_only, req.budget,
-                       lambda z: (z + pad) ** 2, "scan region")
+                       lambda z: (z + pad) ** 2, "scan region", "points")
     hits = []
     for z in zs:
         z_hits = [Candidate(x, y, z) for x, y in _interior_hits(z, req.min_count)]
@@ -215,7 +216,7 @@ def oracle_scan(req: ScanRequest) -> ScanReport:
 
 def _on_lines(z: int, points: Iterator[tuple[int, int]]) -> set[tuple[int, int]]:
     """The primitive canonical interior pairs among points."""
-    return {(x, y) for x, y in points if is_canonical(x, y, z) and gcd(x, y, z) == 1}
+    return {(x, y) for x, y in points if gcd(x, y, z) == 1 and is_canonical(x, y, z)}
 
 
 def _rows_and_columns(z: int, values: list[int]) -> Iterator[tuple[int, int]]:
@@ -415,7 +416,8 @@ def search_range(
     if workers < 1:
         raise ValueError("workers must be positive")
     cfg = cfg if cfg is not None else FilterConfig()
-    zs = _side_lengths(z_min, z_max, mod12_only, budget, candidate_count, "range")
+    zs = _side_lengths(z_min, z_max, mod12_only, budget, candidate_count, "range",
+                       "candidates")
     tasks = [(z, cfg) for z in zs]
     workers = min(workers, len(tasks))
     if workers <= 1:

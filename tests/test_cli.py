@@ -109,6 +109,15 @@ def test_three_distance_budget_exceeded(capsys):
     assert code == 2 and "budget" in err
 
 
+def test_three_distance_budget_counts_points(capsys):
+    # z <= 100 charges sum (z - 1)**2 = 328,350 points
+    code, _, err = run(capsys, "three-distance", "--z-max", "100",
+                       "--budget", "1000")
+    assert code == 2
+    assert "scan region holds more than budget=1000 points" in err
+    assert "candidates" not in err
+
+
 def test_lists_matches_library(capsys):
     code, out, _ = run(capsys, "lists", "--z", "60", "--format", "json")
     assert code == 0

@@ -2,14 +2,20 @@
 first-hit pipeline against full attribution, configuration validation, and
 the congruence-filter equivalence."""
 
+import random
+
 import pytest
 
+from squarepoint import filters
 from squarepoint.arith import is_prime
 from squarepoint.filters import (
+    BIT,
     FIRST_HIT,
     NONRESIDUE_PRIMES,
+    ONE_AXIS,
     FilterConfig,
     FilterId,
+    axis_masks,
     filter_boundary,
     filter_cor52,
     filter_lemma3,
@@ -315,3 +321,33 @@ def test_theorem2_marks_row_slices_match_filter_theorem2():
             assert [p | q for p, q in zip(a, b)] == [
                 filter_theorem2(Candidate(x, y, z)).eliminated for y in ys
             ], (x, ys, z)
+
+
+def _reference_axis_masks(z, enabled):
+    """axis_masks as one set comprehension per filter and z, every value tested."""
+    masks = {"x": [0] * (z + 1), "y": [0] * (z + 1)}
+    for fid, (axes, _, test) in ONE_AXIS.items():
+        if fid not in enabled:
+            continue
+        passed = {v for v in range(z + 1) if test(v, z)}
+        reflected = {z - v for v in passed}
+        ruled_out = passed & reflected if fid is FilterId.THEOREM6 else passed | reflected
+        for axis in axes:
+            for v in ruled_out:
+                masks[axis][v] |= BIT[fid]
+    return masks["x"], masks["y"]
+
+
+def test_axis_masks_match_reference_in_any_call_order(monkeypatch):
+    # the value tables grow with the largest z asked so far: from empty
+    # tables, descending order fills them at once and shuffled order makes
+    # them grow between reads
+    configs = [frozenset(FilterId)] + [frozenset(FilterId) - {fid} for fid in ONE_AXIS]
+    zs = list(range(1, 301))
+    rng = random.Random(13)
+    shuffled = rng.sample(zs, len(zs))
+    for order in (zs[::-1], shuffled):
+        monkeypatch.setattr(filters, "_PASSES", {})
+        for z in order:
+            for enabled in configs:
+                assert axis_masks(z, enabled) == _reference_axis_masks(z, enabled), (z, enabled)

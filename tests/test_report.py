@@ -197,9 +197,22 @@ def test_json_matches_stdlib_per_payload():
          report.scan_report_to_dict),
         (unavailable_lists(60), report.unavailable_to_dict),
     ]
+    # survivors under a partial config carry the disabled filters' witnesses
+    # next to the reused UNDECIDED entries, at the top level and in a range
+    only3 = FilterConfig.only(FilterId.THEOREM3)
+    single = sieve_z(120, only3)
+    parsed = parse_sieve_result(serialize(single))
+    cases += [
+        (single, report.sieve_result_to_dict),
+        (search_range(1, 60, only3),
+         lambda rs: {"results": [report.sieve_result_to_dict(r) for r in rs]}),
+        (parsed, report.sieve_result_to_dict),
+    ]
     for payload, to_dict in cases:
         expected = json.dumps(to_dict(payload), indent=2) + "\n"
         assert serialize(payload, "json") == expected.encode("utf-8")
+    # the parser's UNDECIDED verdicts take the same path to the same bytes
+    assert serialize(parsed) == serialize(single)
 
 
 def test_json_writer_rejects_other_types():
