@@ -11,7 +11,6 @@ known three-distance point is legitimate.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -152,6 +151,12 @@ def filter_lemma3(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
                 FilterId.LEMMA3, {"kind": "lemma3", "side": side, "d": d, "n": n}
             )
     return UNDECIDED
+
+
+def lemma3_sides(z: int) -> set[int]:
+    """The side values v, 0 < v < z, that filter_lemma3 rules out at side z:
+    each d in lemma3_divisors(z) and its reflection z - d."""
+    return {v for d in lemma3_divisors(z) for v in (d, z - d)}
 
 
 def parity_rows(z: int) -> Iterator[tuple[int, range]]:
@@ -424,46 +429,36 @@ def filter_theorem6(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
     return Verdict(FilterId.THEOREM6, witness)
 
 
-# The one-axis filters: the axes whose side values each rules out, whether
-# its per-value test reads z, and that test on (v, z).  A side value v is
-# ruled out when v or z - v passes the test; for theorem6, only when both do.
-ONE_AXIS: dict[FilterId, tuple[str, bool, Callable[[int, int], object]]] = {
-    FilterId.LEMMA3: ("xy", True, lambda v, z: v in lemma3_divisors(z)),
-    FilterId.THEOREM3: ("x", False, lambda v, z: odd_prime(v)),
-    FilterId.THEOREM4: ("x", False, lambda v, z: theorem4_root(v)),
-    FilterId.THEOREM5: ("y", False, lambda v, z: theorem5_shape(v)),
-    FilterId.COROLLARY52: ("x", False, lambda v, z: cor52_split(v)),
-    FilterId.THEOREM6: ("x", False, lambda v, z: odd_semiprime(v)),
+# The one-axis filters whose per-value test ignores z: the axis whose side
+# values each rules out, and that test.  A side value v is ruled out at side
+# z when v or z - v passes the test; for theorem6, only when both do.
+ONE_AXIS: dict[FilterId, tuple[str, Callable[[int], object]]] = {
+    FilterId.THEOREM3: ("x", odd_prime),
+    FilterId.THEOREM4: ("x", theorem4_root),
+    FilterId.THEOREM5: ("y", theorem5_shape),
+    FilterId.COROLLARY52: ("x", cor52_split),
+    FilterId.THEOREM6: ("x", odd_semiprime),
 }
 
-# Per one-axis filter whose test ignores z: entry v is 1 iff v passes it, for
-# v up to the largest z seen in this process.  A longer table replaces the
-# stored one, so a reader never sees a part still being filled.
+# Per ONE_AXIS filter: entry v is 1 iff v passes its test, for v up to the
+# largest z seen in this process.  A longer table replaces the stored one, so
+# a reader never sees a part still being filled.
 _PASSES: dict[FilterId, bytes] = {}
 
 
-def axis_masks(z: int, enabled: frozenset[FilterId]) -> tuple[list[int], list[int]]:
-    """Per side value v in 0..z, the BIT masks of the enabled one-axis
-    filters that rule out x = v and of those that rule out y = v."""
-    masks = {"x": [0] * (z + 1), "y": [0] * (z + 1)}
-    for fid, (axes, reads_z, test) in ONE_AXIS.items():
-        if fid not in enabled:
-            continue
-        passed = b"" if reads_z else _PASSES.get(fid, b"")
-        if len(passed) <= z:
-            passed += bytes(bool(test(v, z)) for v in range(len(passed), z + 1))
-            if not reads_z:
-                _PASSES[fid] = passed
-        # read big-endian, the entries 0..z give v the entry of z - v
-        window = passed[:z + 1]
-        own, reflected = int.from_bytes(window, "little"), int.from_bytes(window, "big")
-        ruled = own & reflected if fid is FilterId.THEOREM6 else own | reflected
-        bit = BIT[fid]
-        for axis in axes:
-            mask = masks[axis]
-            for v in itertools.compress(range(z + 1), ruled.to_bytes(z + 1, "little")):
-                mask[v] |= bit
-    return masks["x"], masks["y"]
+def ruled_values(z: int, fid: FilterId) -> bytes:
+    """Entry v, for v in 0..z, is 1 iff the ONE_AXIS filter fid rules out
+    the side value v at side z."""
+    passed = _PASSES.get(fid, b"")
+    if len(passed) <= z:
+        test = ONE_AXIS[fid][1]
+        passed += bytes(bool(test(v)) for v in range(len(passed), z + 1))
+        _PASSES[fid] = passed
+    # read big-endian, the entries 0..z give v the entry of z - v
+    window = passed[:z + 1]
+    own, reflected = int.from_bytes(window, "little"), int.from_bytes(window, "big")
+    ruled = own & reflected if fid is FilterId.THEOREM6 else own | reflected
+    return ruled.to_bytes(z + 1, "little")
 
 
 # The filter_* functions take an unused cfg only because

@@ -1,6 +1,6 @@
 """Serialization of sieve, scan and list results (json, csv, text), plus the
 per-z lists of values the filters rule out for x and y, read from
-filters.axis_masks.
+filters.ruled_values and filters.lemma3_sides.
 
 Output is deterministic: identical inputs give identical bytes.  JSON
 round-trips losslessly through the parse_* functions; unknown or
@@ -11,18 +11,20 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .filters import (
-    BIT,
     ONE_AXIS,
     UNDECIDED,
     Attribution,
     FilterId,
     Verdict,
-    axis_masks,
+    lemma3_divisors,
+    lemma3_sides,
+    ruled_values,
 )
 from .model import CORNERS, Candidate, DistanceProfile, distance_profile
 from .search import ScanHit, ScanReport, ScanRequest, SieveResult, Survivor
@@ -47,12 +49,12 @@ class ValueLists(NamedTuple):
 class UnavailableLists:
     """Values of x and y ruled out at side z, per source filter.
 
-    Each combined list holds the values 1..z-1 whose axis mask has the
-    filter's bit, so v and z - v together; the direct list keeps those that
-    pass the filter's own per-value test.  The x lists hold odd values, the
-    y lists even values.  The lemma3 list keeps only values the theorem5
-    shape did not already rule out, matching how the two conditions divide
-    the work at z = 60.
+    Each combined list holds the values 1..z-1 that the filter rules out,
+    so v and z - v together; the direct list keeps those that pass the
+    filter's own per-value test.  The x lists hold odd values, the y lists
+    even values.  The lemma3 list keeps only values the theorem5 shape did
+    not already rule out, matching how the two conditions divide the work
+    at z = 60.
     """
 
     z: int
@@ -65,20 +67,17 @@ class UnavailableLists:
 def unavailable_lists(z: int) -> UnavailableLists:
     if z < 2 or z % 2:
         raise ValueError("unavailable lists are defined for even z >= 2")
-    x_mask, y_mask = axis_masks(z, frozenset(_SOURCE_LABELS))
 
-    def lists(fid: FilterId, mask: list[int], clear: int = 0) -> ValueLists:
-        bit, test = BIT[fid], ONE_AXIS[fid][2]
-        combined = tuple(v for v in range(1, z) if mask[v] & (bit | clear) == bit)
-        return ValueLists(tuple(v for v in combined if test(v, z)), combined)
+    def lists(fid: FilterId) -> ValueLists:
+        combined = tuple(itertools.compress(range(1, z), ruled_values(z, fid)[1:z]))
+        return ValueLists(tuple(filter(ONE_AXIS[fid][1], combined)), combined)
 
-    return UnavailableLists(
-        z=z,
-        theorem3_x=lists(FilterId.THEOREM3, x_mask),
-        theorem4_x=lists(FilterId.THEOREM4, x_mask),
-        theorem5_y=lists(FilterId.THEOREM5, y_mask),
-        lemma3_y=lists(FilterId.LEMMA3, y_mask, clear=BIT[FilterId.THEOREM5]),
-    )
+    theorem5 = lists(FilterId.THEOREM5)
+    lemma3 = tuple(sorted(lemma3_sides(z).difference(theorem5.combined)))
+    direct = tuple(v for v in lemma3 if v in lemma3_divisors(z))
+    return UnavailableLists(z=z, theorem3_x=lists(FilterId.THEOREM3),
+                            theorem4_x=lists(FilterId.THEOREM4), theorem5_y=theorem5,
+                            lemma3_y=ValueLists(direct, lemma3))
 
 
 # ---------------------------------------------------------------------------
@@ -93,9 +92,21 @@ def _verdict_to_dict(fid: FilterId, verdict: Verdict) -> dict:
     }
 
 
+class _SharedEntry(dict):
+    """A dict that refuses changes, as every tree shares it; a copy is a plain dict."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a shared UNDECIDED entry cannot be changed; copy it first")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
+
 # Each filter's UNDECIDED entry, one object shared by every attribution that
-# holds it, so _write_json renders it once per indent.  Do not mutate them.
-_UNDECIDED_ENTRIES = {fid: _verdict_to_dict(fid, UNDECIDED) for fid in FilterId}
+# holds it, so _write_json renders it once per indent.
+_UNDECIDED_ENTRIES = {fid: _SharedEntry(_verdict_to_dict(fid, UNDECIDED)) for fid in FilterId}
 
 
 def _attribution_to_list(attribution: Attribution) -> list[dict]:

@@ -11,19 +11,21 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .arith import factorize, pythagorean_partners
 from .filters import (
     ALL_UNDECIDED,
     BIT,
     FIRST_HIT,
+    ONE_AXIS,
     Attribution,
     FilterConfig,
     FilterId,
-    axis_masks,
     full_attribution,
+    lemma3_sides,
     parity_rows,
+    ruled_values,
     theorem1_y_bounds,
     theorem2_marks,
 )
@@ -219,7 +221,7 @@ def _on_lines(z: int, points: Iterator[tuple[int, int]]) -> set[tuple[int, int]]
     return {(x, y) for x, y in points if gcd(x, y, z) == 1 and is_canonical(x, y, z)}
 
 
-def _rows_and_columns(z: int, values: list[int]) -> Iterator[tuple[int, int]]:
+def _rows_and_columns(z: int, values: Iterable[int]) -> Iterator[tuple[int, int]]:
     """The interior points with x or y in values, 2y <= z, and 2x <= z if z
     is even: the bounds of every canonical pair."""
     x_max = z // 2 if z % 2 == 0 else z - 1
@@ -250,30 +252,29 @@ def _ones(n: int) -> int:
 def _walk_rows(
     z: int,
     rows: Iterator[tuple[int, range]],
-    x_mask: list[int],
-    y_mask: list[int],
+    enabled: frozenset[FilterId],
     counted: set[tuple[int, int]],
-    theorem1: int,
-    theorem2: int,
 ) -> tuple[bytes, list[Candidate]]:
     """The first-hit codes (see _ROW_CODE) of the pairs (x, y) of rows, row
-    after row, and the survivors among them, ascending (x, y).  counted
-    holds the pairs to skip; theorem1 and theorem2 are their filters' row
-    bits, 0 when they are disabled.
+    after row, and the survivors among them, ascending (x, y), under the
+    enabled filters; counted holds the pairs to skip.
 
     A row's bytes are one little-endian int, ORed from strided slices of
-    per-z tables: the one-axis bits of y, theorem2_marks and, for each
-    prime of gcd(x, z), its multiples.  x's one-axis bits fill the row,
-    theorem1 sets a prefix and a suffix (theorem1_y_bounds), and the
-    counted pairs of the row set bit 0.
+    per-z tables: the one-axis bits of y (a filters.ruled_values plane per
+    enabled filter), theorem2_marks and, for each prime of gcd(x, z), its
+    multiples.  x's one-axis bits fill the row, theorem1 sets a prefix and
+    a suffix (theorem1_y_bounds), and the counted pairs of the row set bit 0.
     """
-    y_bits = bytes(mask >> 2 for mask in y_mask)
+    row_bit = {fid: BIT[fid] >> 2 if fid in enabled else 0 for fid in _ROW_FILTERS}
+    # the planes are 0/1 bytes, so a sum of them times distinct bits is an OR
+    x_bits, y_bits = (sum(
+        int.from_bytes(ruled_values(z, fid), "little") * row_bit[fid]
+        for fid, (axis, _) in ONE_AXIS.items() if axis == side and row_bit[fid]
+    ).to_bytes(z + 1, "little") for side in "xy")
+    theorem1, theorem2 = row_bit[FilterId.THEOREM1], row_bit[FilterId.THEOREM2]
     marks = theorem2_marks(z) if theorem2 else b""
-    multiples = []  # (p, entry y is 1 iff p divides y) for the primes p of z
-    for p, _ in factorize(z):
-        table = bytearray(z + 1)
-        table[::p] = b"\x01" * len(range(0, z + 1, p))
-        multiples.append((p, table))
+    # (p, entry y is 1 iff p divides y) for the primes p of z
+    multiples = [(p, (b"\x01" + bytes(p - 1)) * (z // p + 1)) for p, _ in factorize(z)]
     counted_ys: dict[int, list[int]] = {}
     for x, y in counted:
         counted_ys.setdefault(x, []).append(y)
@@ -283,7 +284,7 @@ def _walk_rows(
         start, stop, step = ys.start, ys.stop, ys.step
         n = len(ys)
         ones = _ones(n)
-        flags = int.from_bytes(y_bits[start:stop:step], "little") | (x_mask[x] >> 2) * ones
+        flags = int.from_bytes(y_bits[start:stop:step], "little") | x_bits[x] * ones
         if theorem1:
             lo, hi = theorem1_y_bounds(x, z)
             prefix = _ones(len(range(start, min(stop, lo + 1), step)))
@@ -318,13 +319,14 @@ def sieve_z(z: int, cfg: FilterConfig | None = None, mode: str = FIRST_HIT) -> S
     a time: parity_rows(z) with parity enabled, every canonical row
     (model.canonical_rows) otherwise.  The rest are counted.  The total is
     candidate_count(z); boundary's first hits are the points on the
-    midlines and diagonals, lemma3's those on the rows and columns whose
-    lemma3 bit is set (off boundary's lines when boundary is enabled);
-    parity's are whatever neither line count nor the visit holds.  A row
-    becomes one byte per pair (see _walk_rows), with a bit for each filter
-    that rules the pair out and one for a skipped pair: one not primitive
-    or on a counted line.  The lowest set bit is the first hit, so the
-    counts equal those of run_pipeline on each candidate.  Only survivors
+    midlines and diagonals, lemma3's those on the rows and columns at its
+    side values, filters.lemma3_sides(z) (off boundary's lines when
+    boundary is enabled); parity's are whatever neither line count nor the
+    visit holds.  A row becomes one byte per pair (see _walk_rows), with a
+    bit for each filter that rules the pair out and one for a skipped pair:
+    one not primitive or on a counted line.  The lowest set bit is the
+    first hit, so the counts equal those of run_pipeline on each candidate.
+    Where no row is visited, no per-z table is built.  Only survivors
     become Candidates with verdicts, and a survivor's enabled filters read
     UNDECIDED without a call; no witness is built for an eliminated one.
     """
@@ -332,31 +334,22 @@ def sieve_z(z: int, cfg: FilterConfig | None = None, mode: str = FIRST_HIT) -> S
         raise ValueError(f"unknown pipeline mode {mode!r}")
     if z < 1:
         raise ValueError("z must be positive")
-    passed = enabled = (cfg if cfg is not None else FilterConfig()).enabled
-    # each enabled pair filter's bit, and lemma3's, or 0 if it is disabled
-    boundary, lemma3, parity, theorem1, theorem2 = (
+    enabled = (cfg if cfg is not None else FilterConfig()).enabled
+    # the first-hit bit of each filter counted here, or 0 if it is disabled
+    boundary, lemma3, parity = (
         BIT[fid] if fid in enabled else 0
-        for fid in (FilterId.BOUNDARY, FilterId.LEMMA3, FilterId.PARITY_RESIDUE,
-                    FilterId.THEOREM1, FilterId.THEOREM2)
+        for fid in (FilterId.BOUNDARY, FilterId.LEMMA3, FilterId.PARITY_RESIDUE)
     )
-    walked = not parity or z % 12 == 0
-    if not walked:
-        # no pair is visited, so only lemma3's lines read the masks
-        enabled = enabled & {FilterId.LEMMA3}
-    x_mask, y_mask = axis_masks(z, enabled)
-    midlines = [z // 2] if z % 2 == 0 else []
     on_boundary = _on_lines(z, itertools.chain(
         ((t, t) for t in range(1, z // 2 + 1)),
         ((z - t, t) for t in range(1, z // 2 + 1)),
-        _rows_and_columns(z, midlines),
+        _rows_and_columns(z, [z // 2] if z % 2 == 0 else []),
     )) if boundary else set()
-    on_lemma3 = _on_lines(z, _rows_and_columns(
-        z, [v for v in range(1, z) if x_mask[v] & lemma3]
-    )) - on_boundary
+    on_lemma3 = (_on_lines(z, _rows_and_columns(z, lemma3_sides(z))) - on_boundary
+                 if lemma3 else set())
     codes, found = _walk_rows(
-        z, parity_rows(z) if parity else canonical_rows(z), x_mask, y_mask,
-        on_boundary | on_lemma3, theorem1 >> 2, theorem2 >> 2,
-    ) if walked else (b"", [])
+        z, parity_rows(z) if parity else canonical_rows(z), enabled, on_boundary | on_lemma3,
+    ) if not parity or z % 12 == 0 else (b"", [])
     counts = [0] * (1 << len(FilterId))  # indexed by the first hit's bit
     for code, fid in enumerate(_ROW_FILTERS, start=2):
         counts[BIT[fid]] = codes.count(code)
@@ -368,7 +361,7 @@ def sieve_z(z: int, cfg: FilterConfig | None = None, mode: str = FIRST_HIT) -> S
     counts[parity] += total - len(on_boundary) - len(on_lemma3) - (len(codes) - codes.count(1))
     # a survivor passed every enabled filter: only the disabled ones need a call
     survivors = [
-        Survivor(c, full_attribution(c, passed) if len(passed) < len(FilterId)
+        Survivor(c, full_attribution(c, enabled) if len(enabled) < len(FilterId)
                  else ALL_UNDECIDED, distance_profile(c))
         for c in found
     ]

@@ -9,13 +9,11 @@ import pytest
 from squarepoint import filters
 from squarepoint.arith import is_prime
 from squarepoint.filters import (
-    BIT,
     FIRST_HIT,
     NONRESIDUE_PRIMES,
     ONE_AXIS,
     FilterConfig,
     FilterId,
-    axis_masks,
     filter_boundary,
     filter_cor52,
     filter_lemma3,
@@ -28,8 +26,10 @@ from squarepoint.filters import (
     filter_theorem6,
     full_attribution,
     lemma3_divisors,
+    lemma3_sides,
     parity_rows,
     recheck_witness,
+    ruled_values,
     run_pipeline,
     shape5_prime_allowed,
     shape5_prime_allowed_literal,
@@ -323,31 +323,34 @@ def test_theorem2_marks_row_slices_match_filter_theorem2():
             ], (x, ys, z)
 
 
-def _reference_axis_masks(z, enabled):
-    """axis_masks as one set comprehension per filter and z, every value tested."""
-    masks = {"x": [0] * (z + 1), "y": [0] * (z + 1)}
-    for fid, (axes, _, test) in ONE_AXIS.items():
-        if fid not in enabled:
-            continue
-        passed = {v for v in range(z + 1) if test(v, z)}
-        reflected = {z - v for v in passed}
-        ruled_out = passed & reflected if fid is FilterId.THEOREM6 else passed | reflected
-        for axis in axes:
-            for v in ruled_out:
-                masks[axis][v] |= BIT[fid]
-    return masks["x"], masks["y"]
+def _reference_ruled_values(z, fid):
+    """ruled_values as one set comprehension per filter and z, every value tested."""
+    test = ONE_AXIS[fid][1]
+    passed = {v for v in range(z + 1) if test(v)}
+    reflected = {z - v for v in passed}
+    ruled_out = passed & reflected if fid is FilterId.THEOREM6 else passed | reflected
+    return bytes(v in ruled_out for v in range(z + 1))
 
 
-def test_axis_masks_match_reference_in_any_call_order(monkeypatch):
+def test_ruled_values_match_reference_in_any_call_order(monkeypatch):
     # the value tables grow with the largest z asked so far: from empty
     # tables, descending order fills them at once and shuffled order makes
     # them grow between reads
-    configs = [frozenset(FilterId)] + [frozenset(FilterId) - {fid} for fid in ONE_AXIS]
+    assert len(ONE_AXIS) == 5
     zs = list(range(1, 301))
     rng = random.Random(13)
     shuffled = rng.sample(zs, len(zs))
     for order in (zs[::-1], shuffled):
         monkeypatch.setattr(filters, "_PASSES", {})
         for z in order:
-            for enabled in configs:
-                assert axis_masks(z, enabled) == _reference_axis_masks(z, enabled), (z, enabled)
+            for fid in ONE_AXIS:
+                assert ruled_values(z, fid) == _reference_ruled_values(z, fid), (z, fid)
+
+
+def test_lemma3_sides_match_filter_lemma3():
+    # the sieve reads only d <= z/2 as a coordinate, so it cannot see the
+    # reflection z - d; the side values are checked here on their own
+    for z in range(1, 2001):
+        assert lemma3_sides(z) == {
+            v for v in range(1, z) if filter_lemma3(Candidate(v, v, z)).eliminated
+        }, z

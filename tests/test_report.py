@@ -1,5 +1,6 @@
 """Unavailable-value lists and the three serialization formats."""
 
+import copy
 import json
 import math
 import random
@@ -213,6 +214,36 @@ def test_json_matches_stdlib_per_payload():
         assert serialize(payload, "json") == expected.encode("utf-8")
     # the parser's UNDECIDED verdicts take the same path to the same bytes
     assert serialize(parsed) == serialize(single)
+
+
+def test_edit_of_one_tree_reaches_no_other():
+    tree = report.sieve_result_to_dict(sieve_z(240))
+    entry = tree["survivors"][0]["attribution"][0]
+    edits = [
+        lambda e: e.__setitem__("witness", {"kind": "edited"}),
+        lambda e: e.update(eliminated=True),
+        lambda e: e.setdefault("note", 1),
+        lambda e: e.__ior__({"note": 1}),
+        lambda e: e.pop("witness"),
+        lambda e: e.__delitem__("filter"),
+        lambda e: e.popitem(),
+        lambda e: e.clear(),
+    ]
+    for edit in edits:
+        try:
+            edit(entry)
+        except TypeError:
+            pass  # refusing the edit is one way to keep it local
+    result = sieve_z(228)
+    fresh = report.sieve_result_to_dict(result)
+    assert len(fresh["survivors"]) == 14
+    for s in fresh["survivors"]:
+        assert s["attribution"][0] == {"filter": "boundary", "eliminated": False, "witness": None}
+    assert serialize(result, "json") == (json.dumps(fresh, indent=2) + "\n").encode("utf-8")
+    # a copy of a tree is the caller's own to change
+    copied = copy.deepcopy(fresh)
+    copied["survivors"][0]["attribution"][0]["witness"] = {"kind": "edited"}
+    assert serialize(result, "json") == (json.dumps(fresh, indent=2) + "\n").encode("utf-8")
 
 
 def test_json_writer_rejects_other_types():
