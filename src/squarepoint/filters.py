@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 from typing import Callable, Iterator, NamedTuple
 
 from .arith import (
@@ -24,7 +24,7 @@ from .arith import (
     prime_power_root,
     two_nonresidue_primes,
 )
-from .model import CORNERS, Candidate, corner_legs, is_primitive_interior
+from .model import CORNERS, Candidate, corner_legs
 
 FIRST_HIT = "first"
 
@@ -43,6 +43,15 @@ class FilterId(enum.Enum):
     COROLLARY52 = "corollary52"
     THEOREM6 = "theorem6"
 
+    # Enum hashes a member by its name in Python code; members are
+    # singletons compared by identity, so the identity hash is equivalent
+    # and keeps FilterId-keyed lookups at C speed.
+    __hash__ = object.__hash__
+
+
+# A FilterId.X read takes several times as long as a global read; the three
+# filters that decide most candidates name their ids through these.
+_BOUNDARY, _LEMMA3, _PARITY = FilterId.BOUNDARY, FilterId.LEMMA3, FilterId.PARITY_RESIDUE
 
 # a filter mask has bit i set for the i-th FilterId
 BIT = {fid: 1 << i for i, fid in enumerate(FilterId)}
@@ -74,7 +83,7 @@ class Attribution(NamedTuple):
     @property
     def eliminated_by(self) -> FilterId | None:
         for fid, verdict in self.entries:
-            if verdict.eliminated:
+            if verdict.filter_id is not None:
                 return fid
         return None
 
@@ -123,7 +132,7 @@ def filter_boundary(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
         tag = "diagonal"
     else:
         return UNDECIDED
-    return Verdict(FilterId.BOUNDARY, {"kind": "boundary", "tag": tag})
+    return Verdict(_BOUNDARY, {"kind": "boundary", "tag": tag})
 
 
 @lru_cache(maxsize=1 << 12)
@@ -144,12 +153,12 @@ def filter_lemma3(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
     """No side distance d may satisfy z = n*d with n and n*n + 4 both prime."""
     x, y, z = c
     dangerous = lemma3_divisors(z)
+    if not (x in dangerous or y in dangerous or z - x in dangerous or z - y in dangerous):
+        return UNDECIDED
     for side, d in (("x", x), ("y", y), ("z-x", z - x), ("z-y", z - y)):
         if d in dangerous:
             n = z // d
-            return Verdict(
-                FilterId.LEMMA3, {"kind": "lemma3", "side": side, "d": d, "n": n}
-            )
+            return Verdict(_LEMMA3, {"kind": "lemma3", "side": side, "d": d, "n": n})
     return UNDECIDED
 
 
@@ -197,7 +206,7 @@ def filter_parity_residue(c: Candidate, cfg: FilterConfig | None = None) -> Verd
         witness = {"kind": "parity", "clause": "corner_mod_3", "corner": "A", "legs": [x, y]}
     else:
         return UNDECIDED
-    return Verdict(FilterId.PARITY_RESIDUE, witness)
+    return Verdict(_PARITY, witness)
 
 
 _LEG_NAMES = (("x", "y"), ("x", "z-y"), ("z-x", "z-y"), ("z-x", "y"))
@@ -488,11 +497,12 @@ def run_pipeline(c: Candidate, cfg: FilterConfig, mode: str = FIRST_HIT) -> Attr
     only mode."""
     if mode != FIRST_HIT:
         raise ValueError(f"unknown pipeline mode {mode!r}")
-    if not is_primitive_interior(c):
+    x, y, z = c
+    if not (0 < x < z and 0 < y < z and gcd(x, y, z) == 1):
         raise ValueError(f"candidate {c} is not primitive interior")
     for fid, func in _enabled_in_order(cfg.enabled):
         verdict = func(c)
-        if verdict.eliminated:
+        if verdict.filter_id is not None:
             return Attribution(((fid, verdict),))
     return Attribution(())
 
@@ -512,99 +522,130 @@ def recheck_witness(c: Candidate, fid: FilterId, witness: dict) -> bool:
 
     Independent of the filter implementations: uses only arithmetic
     primitives, and the literal (not the fast) prime condition for the
-    power-of-two shapes.
+    power-of-two shapes.  Witnesses may come from outside JSON, so an fid
+    that is not a FilterId, a kind that is not fid's, an unknown corner,
+    side or target, and a field that is missing or of the wrong type all
+    read False.
     """
-    x, y, z = c
-    kind = witness.get("kind")
-    if fid is FilterId.BOUNDARY and kind == "boundary":
-        return {
-            "edge": x in (0, z) or y in (0, z),
-            "midline": 2 * x == z or 2 * y == z,
-            "diagonal": x == y or x + y == z,
-        }.get(witness["tag"], False)
-    if fid is FilterId.LEMMA3 and kind == "lemma3":
-        d, n = witness["d"], witness["n"]
-        return (
-            d in (x, y, z - x, z - y)
-            and d >= 1
-            and n * d == z
-            and is_prime(n)
-            and is_prime(n * n + 4)
-        )
-    if fid is FilterId.PARITY_RESIDUE and kind == "parity":
-        clause = witness["clause"]
-        if clause == "one_odd_one_even":
-            return x % 2 == y % 2
-        if clause == "even_coordinate_mod_4":
-            even = witness["value"]
-            return even in (x, y) and even % 2 == 0 and even % 4 != 0
-        if clause == "side_mod_12":
-            return z % 12 != 0
-        if clause == "corner_mod_3":
-            a, b = _legs_at(c, witness["corner"])
-            return [a, b] == witness["legs"] and a % 3 != 0 and b % 3 != 0
+    kind, check = _RECHECKS.get(fid, (None, None))
+    if kind is None or witness.get("kind") != kind:
         return False
-    if fid is FilterId.THEOREM1 and kind == "inequality":
+    try:
+        return check(c, witness)
+    except (KeyError, TypeError):
+        return False
+
+
+def _recheck_boundary(c: Candidate, witness: dict) -> bool:
+    x, y, z = c
+    return {
+        "edge": x in (0, z) or y in (0, z),
+        "midline": 2 * x == z or 2 * y == z,
+        "diagonal": x == y or x + y == z,
+    }.get(witness["tag"], False)
+
+
+def _recheck_lemma3(c: Candidate, witness: dict) -> bool:
+    x, y, z = c
+    d, n = witness["d"], witness["n"]
+    return (
+        d in (x, y, z - x, z - y)
+        and d >= 1
+        and n * d == z
+        and is_prime(n)
+        and is_prime(n * n + 4)
+    )
+
+
+def _recheck_parity(c: Candidate, witness: dict) -> bool:
+    x, y, z = c
+    clause = witness["clause"]
+    if clause == "one_odd_one_even":
+        return x % 2 == y % 2
+    if clause == "even_coordinate_mod_4":
+        even = witness["value"]
+        return even in (x, y) and even % 2 == 0 and even % 4 != 0
+    if clause == "side_mod_12":
+        return z % 12 != 0
+    if clause == "corner_mod_3":
         a, b = _legs_at(c, witness["corner"])
-        val, other = (a, b) if witness["leg"] in ("x", "z-x") else (b, a)
-        return (
-            witness["lhs"] == val * val
-            and witness["rhs"] == 2 * other + 1
-            and val * val < 2 * other + 1
-        )
-    if fid is FilterId.THEOREM2 and kind == "congruence":
-        p, corner = witness["p"], witness["corner"]
-        a, b = _legs_at(c, corner)
-        if not (
-            is_prime(p)
-            and jacobi(2, p) == -1
-            and [a, b] == witness["legs"]
-            and (a - b) % p == 0
-        ):
-            return False
-        if a % p:
-            return True
-        # p divides both legs, so the paired corner must carry the proof
-        a, b = _legs_at(c, _PAIRED_CORNER[corner])
-        return (a - b) % p == 0 and a % p != 0
-    if fid is FilterId.THEOREM3 and kind == "prime":
-        t = witness["value"]
-        return t == _side_value(c, witness["side"]) and t % 2 == 1 and is_prime(t)
-    if fid is FilterId.THEOREM4 and kind == "prime_power":
-        p, e = witness["p"], witness["e"]
-        return (
-            is_prime(p)
-            and jacobi(2, p) == -1
-            and e >= 1
-            and p**e == _side_value(c, witness["side"])
-        )
-    if fid is FilterId.THEOREM5 and kind == "shape5":
-        t = witness["value"]
-        if t != _side_value(c, witness["target"]):
-            return False
-        return _recheck_shape(t, witness["h"], witness["m"])
-    if fid is FilterId.COROLLARY52 and kind == "cor52":
-        t, q1, q2 = witness["value"], witness["q1"], witness["q2"]
-        if t != _side_value(c, witness["target"]):
-            return False
-        if q1 * q2 != t or q1 <= q2 or q2 < 1 or q1 % 2 == 0 or q2 % 2 == 0:
-            return False
-        if jacobi(2, q1) != -1 or jacobi(2, q2) != -1:
-            return False
-        s = (q1 * q1 - q2 * q2) // 4
-        return _recheck_shape(2 * s, witness["h"], witness["m"])
-    if fid is FilterId.THEOREM6 and kind == "theorem6":
-        p1, p2, q1, q2 = (witness[k] for k in ("p1", "p2", "q1", "q2"))
-        return (
-            p1 * p2 == x
-            and q1 * q2 == z - x
-            and p1 != p2
-            and q1 != q2
-            and all(
-                t % 2 and is_prime(t) and jacobi(2, t) == -1 for t in (p1, p2, q1, q2)
-            )
-        )
+        return [a, b] == witness["legs"] and a % 3 != 0 and b % 3 != 0
     return False
+
+
+def _recheck_theorem1(c: Candidate, witness: dict) -> bool:
+    a, b = _legs_at(c, witness["corner"])
+    val, other = (a, b) if witness["leg"] in ("x", "z-x") else (b, a)
+    return (
+        witness["lhs"] == val * val
+        and witness["rhs"] == 2 * other + 1
+        and val * val < 2 * other + 1
+    )
+
+
+def _recheck_theorem2(c: Candidate, witness: dict) -> bool:
+    p, corner = witness["p"], witness["corner"]
+    a, b = _legs_at(c, corner)
+    if not (
+        is_prime(p)
+        and jacobi(2, p) == -1
+        and [a, b] == witness["legs"]
+        and (a - b) % p == 0
+    ):
+        return False
+    if a % p:
+        return True
+    # p divides both legs, so the paired corner must carry the proof
+    a, b = _legs_at(c, _PAIRED_CORNER[corner])
+    return (a - b) % p == 0 and a % p != 0
+
+
+def _recheck_theorem3(c: Candidate, witness: dict) -> bool:
+    t = witness["value"]
+    return t == _side_value(c, witness["side"]) and t % 2 == 1 and is_prime(t)
+
+
+def _recheck_theorem4(c: Candidate, witness: dict) -> bool:
+    p, e = witness["p"], witness["e"]
+    return (
+        is_prime(p)
+        and jacobi(2, p) == -1
+        and e >= 1
+        and p**e == _side_value(c, witness["side"])
+    )
+
+
+def _recheck_theorem5(c: Candidate, witness: dict) -> bool:
+    t = witness["value"]
+    if t != _side_value(c, witness["target"]):
+        return False
+    return _recheck_shape(t, witness["h"], witness["m"])
+
+
+def _recheck_cor52(c: Candidate, witness: dict) -> bool:
+    t, q1, q2 = witness["value"], witness["q1"], witness["q2"]
+    if t != _side_value(c, witness["target"]):
+        return False
+    if q1 * q2 != t or q1 <= q2 or q2 < 1 or q1 % 2 == 0 or q2 % 2 == 0:
+        return False
+    if jacobi(2, q1) != -1 or jacobi(2, q2) != -1:
+        return False
+    s = (q1 * q1 - q2 * q2) // 4
+    return _recheck_shape(2 * s, witness["h"], witness["m"])
+
+
+def _recheck_theorem6(c: Candidate, witness: dict) -> bool:
+    x, _, z = c
+    p1, p2, q1, q2 = (witness[k] for k in ("p1", "p2", "q1", "q2"))
+    return (
+        p1 * p2 == x
+        and q1 * q2 == z - x
+        and p1 != p2
+        and q1 != q2
+        and all(
+            t % 2 and is_prime(t) and jacobi(2, t) == -1 for t in (p1, p2, q1, q2)
+        )
+    )
 
 
 def _recheck_shape(t: int, h: int, m: int) -> bool:
@@ -623,3 +664,19 @@ _PAIRED_CORNER = {"A": "C", "C": "A", "B": "D", "D": "B"}
 def _legs_at(c: Candidate, corner: str) -> tuple[int, int]:
     legs = corner_legs(c)
     return dict(zip(CORNERS, legs))[corner]
+
+
+# Per filter: the witness kind its filter writes and the check that
+# re-derives such a witness.
+_RECHECKS: dict[FilterId, tuple[str, Callable[[Candidate, dict], bool]]] = {
+    FilterId.BOUNDARY: ("boundary", _recheck_boundary),
+    FilterId.LEMMA3: ("lemma3", _recheck_lemma3),
+    FilterId.PARITY_RESIDUE: ("parity", _recheck_parity),
+    FilterId.THEOREM1: ("inequality", _recheck_theorem1),
+    FilterId.THEOREM2: ("congruence", _recheck_theorem2),
+    FilterId.THEOREM3: ("prime", _recheck_theorem3),
+    FilterId.THEOREM4: ("prime_power", _recheck_theorem4),
+    FilterId.THEOREM5: ("shape5", _recheck_theorem5),
+    FilterId.COROLLARY52: ("cor52", _recheck_cor52),
+    FilterId.THEOREM6: ("theorem6", _recheck_theorem6),
+}

@@ -120,8 +120,12 @@ def enumerate_candidates(z: int, dedup: bool = False) -> Iterator[Candidate]:
     if z < 1:
         raise ValueError("z must be positive")
     if dedup:
+        # gcd(x, y, z) is gcd(g, y) with g = gcd(x, z), taken once per x
+        x0 = g = None
         for x, y in canonical_interior_pairs(z):
-            if gcd(x, y, z) == 1:
+            if x != x0:
+                x0, g = x, gcd(x, z)
+            if g == 1 or gcd(g, y) == 1:
                 yield Candidate(x, y, z)
     else:
         for x in range(1, z):

@@ -273,6 +273,72 @@ def test_recheck_rejects_forged_witnesses():
                                                       "value": 20, "h": 1, "m": 5})
 
 
+def test_recheck_reads_malformed_witnesses_as_false():
+    # witnesses may come from outside JSON: an unknown corner, side or
+    # target, or a field that is missing or of the wrong type, is a failed
+    # recheck, not an exception
+    c = Candidate(7, 24, 52)
+    malformed = [
+        (FilterId.THEOREM1, {"kind": "inequality", "corner": "E", "leg": "x",
+                             "lhs": 49, "rhs": 49}),
+        (FilterId.THEOREM2, {"kind": "congruence", "p": 3, "corner": "Z", "legs": [7, 24]}),
+        (FilterId.BOUNDARY, {"kind": "boundary"}),
+        (FilterId.PARITY_RESIDUE, {"kind": "parity", "clause": "corner_mod_3",
+                                   "corner": "E", "legs": [7, 24]}),
+        (FilterId.THEOREM3, {"kind": "prime", "side": "w", "value": 7}),
+        (FilterId.THEOREM5, {"kind": "shape5", "target": "x", "value": 24, "h": 2, "m": 3}),
+        (FilterId.THEOREM6, {"kind": "theorem6", "p1": 3, "p2": 5, "q1": 3}),
+        (FilterId.THEOREM2, {"kind": "congruence", "p": "3", "corner": "A", "legs": [7, 24]}),
+        (FilterId.BOUNDARY, {"kind": "boundary", "tag": ["edge"]}),
+    ]
+    for fid, witness in malformed:
+        assert recheck_witness(c, fid, witness) is False, (fid, witness)
+
+
+def _one_eliminated_per_filter(z_max):
+    """{fid: (c, witness)} for the first candidate each filter eliminates."""
+    found = {}
+    for z in range(1, z_max + 1):
+        for c in enumerate_candidates(z, dedup=True):
+            for fid, v in full_attribution(c).entries:
+                if v.eliminated and fid not in found:
+                    found[fid] = (c, v.witness)
+            if len(found) == len(FilterId):
+                return found
+    return found
+
+
+def test_recheck_dispatch_rejects_witness_under_other_ids():
+    found = _one_eliminated_per_filter(120)
+    assert set(found) == set(FilterId)
+    for fid, (c, witness) in found.items():
+        assert recheck_witness(c, fid, witness), (fid, c)
+        for other in FilterId:
+            if other is not fid:
+                assert recheck_witness(c, other, witness) is False, (fid, other, c)
+        assert recheck_witness(c, fid, {**witness, "kind": "unknown"}) is False, fid
+        assert recheck_witness(c, fid, {k: v for k, v in witness.items()
+                                        if k != "kind"}) is False, fid
+        # an id that is not a FilterId, even one naming this filter
+        for bogus in (fid.value, fid.name, None, 0):
+            assert recheck_witness(c, bogus, witness) is False, (fid, bogus)
+
+
+def test_lemma3_witness_cites_first_qualifying_side():
+    # every primitive interior point, not only canonical ones: on those,
+    # z - y is never a lemma3 divisor
+    for z in range(1, 201):
+        dangerous = lemma3_divisors(z)
+        for c in enumerate_candidates(z):
+            x, y, _ = c
+            expected = None
+            for side, d in (("x", x), ("y", y), ("z-x", z - x), ("z-y", z - y)):
+                if d in dangerous:
+                    expected = {"kind": "lemma3", "side": side, "d": d, "n": z // d}
+                    break
+            assert filter_lemma3(c).witness == expected, c
+
+
 def test_parity_pairs_are_the_canonical_pairs_passing_parity():
     for z in range(1, 301):
         expected = [
