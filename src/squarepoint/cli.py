@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: sieve, search, distances, three-distance, lists, verify.
-Every subcommand is a thin adapter over the library; all configuration is
-by flags (no environment variables).  Exit codes: 0 success, 1 usage error,
-2 computation error.
+Each result subcommand is one library call whose result is serialized; all
+configuration is by flags (no environment variables).  The library checks
+all input, and the CLI only maps library errors to exit codes: 0 success,
+1 usage error (ValueError), 2 computation error (RuntimeError).
 """
 
 from __future__ import annotations
@@ -14,14 +15,7 @@ import sys
 from .filters import FilterConfig, FilterId
 from .model import Candidate
 from .report import FORMATS, serialize, unavailable_lists
-from .search import (
-    DEFAULT_BUDGET,
-    BudgetExceededError,
-    ScanRequest,
-    oracle_scan,
-    search_range,
-    sieve_z,
-)
+from .search import DEFAULT_BUDGET, ScanRequest, oracle_scan, search_range, sieve_z
 from .selfcheck import SUITES
 
 
@@ -34,6 +28,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _filter_config(raw: str) -> FilterConfig:
+    """The argparse type of --filters: comma-separated filter ids, or 'all'."""
+    if raw == "all":
+        return FilterConfig()
+    try:
+        return FilterConfig(frozenset(FilterId(name.strip()) for name in raw.split(",")))
+    except ValueError:
+        valid = ",".join(f.value for f in FilterId)
+        raise argparse.ArgumentTypeError(f"unknown filter in {raw!r}; valid ids: {valid}")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="squarepoint", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -44,7 +49,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sieve", help="filter all candidates at one side length")
     p.add_argument("--z", type=int, required=True)
-    p.add_argument("--filters", default="all",
+    p.add_argument("--filters", type=_filter_config, default="all",
                    help="comma-separated filter ids, or 'all'")
     add_output_flags(p)
 
@@ -54,7 +59,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--mod12-only", action="store_true",
                    help="only sieve z divisible by 12")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--filters", default="all")
+    p.add_argument("--filters", type=_filter_config, default="all")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="most candidates (primitive canonical interior "
                         "points) the range may hold")
@@ -88,14 +93,23 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_filters(raw: str) -> frozenset[FilterId]:
-    if raw == "all":
-        return frozenset(FilterId)
-    try:
-        return frozenset(FilterId(name.strip()) for name in raw.split(","))
-    except ValueError:
-        valid = ",".join(f.value for f in FilterId)
-        raise UsageError(f"unknown filter in {raw!r}; valid ids: {valid}")
+# the library call behind each result subcommand; it raises ValueError on
+# bad input (a Candidate's bounds are checked when serialize profiles it)
+_RESULTS = {
+    "sieve": lambda a: sieve_z(a.z, a.filters),
+    "search": lambda a: search_range(a.z_min, a.z_max, a.filters, workers=a.threads,
+                                     mod12_only=a.mod12_only, budget=a.budget),
+    "distances": lambda a: Candidate(a.x, a.y, a.z),
+    "three-distance": lambda a: oracle_scan(ScanRequest(
+        z_min=a.z_min,
+        z_max=a.z_max,
+        min_count=a.min_count,
+        include_boundary=a.include_boundary,
+        primitive_only=not a.all_points,
+        budget=a.budget,
+    )),
+    "lists": lambda a: unavailable_lists(a.z),
+}
 
 
 def _emit(data: bytes, out: str | None) -> None:
@@ -108,56 +122,6 @@ def _emit(data: bytes, out: str | None) -> None:
     else:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
-
-
-def _cmd_sieve(args) -> int:
-    if args.z < 1:
-        raise UsageError("--z must be positive")
-    cfg = FilterConfig(enabled=_parse_filters(args.filters))
-    result = sieve_z(args.z, cfg)
-    _emit(serialize(result, args.format), args.out)
-    return 0
-
-
-def _cmd_search(args) -> int:
-    if args.z_min < 1 or args.z_min > args.z_max:
-        raise UsageError("need 1 <= --z-min <= --z-max")
-    if args.threads < 1:
-        raise UsageError("--threads must be positive")
-    cfg = FilterConfig(enabled=_parse_filters(args.filters))
-    results = search_range(args.z_min, args.z_max, cfg, workers=args.threads,
-                           mod12_only=args.mod12_only, budget=args.budget)
-    _emit(serialize(results, args.format), args.out)
-    return 0
-
-
-def _cmd_distances(args) -> int:
-    if args.z < 1 or not (0 <= args.x <= args.z and 0 <= args.y <= args.z):
-        raise UsageError("need 0 <= x,y <= z and z >= 1")
-    _emit(serialize(Candidate(args.x, args.y, args.z), args.format), args.out)
-    return 0
-
-
-def _cmd_three_distance(args) -> int:
-    if args.z_min < 1 or args.z_min > args.z_max:
-        raise UsageError("need 1 <= --z-min <= --z-max")
-    req = ScanRequest(
-        z_min=args.z_min,
-        z_max=args.z_max,
-        min_count=args.min_count,
-        include_boundary=args.include_boundary,
-        primitive_only=not args.all_points,
-        budget=args.budget,
-    )
-    _emit(serialize(oracle_scan(req), args.format), args.out)
-    return 0
-
-
-def _cmd_lists(args) -> int:
-    if args.z < 2 or args.z % 2:
-        raise UsageError("--z must be an even integer >= 2")
-    _emit(serialize(unavailable_lists(args.z), args.format), args.out)
-    return 0
 
 
 def _cmd_verify(args) -> int:
@@ -173,25 +137,18 @@ def _cmd_verify(args) -> int:
     return 0 if failed == 0 else 2
 
 
-_COMMANDS = {
-    "sieve": _cmd_sieve,
-    "search": _cmd_search,
-    "distances": _cmd_distances,
-    "three-distance": _cmd_three_distance,
-    "lists": _cmd_lists,
-    "verify": _cmd_verify,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        if args.command == "verify":
+            return _cmd_verify(args)
+        _emit(serialize(_RESULTS[args.command](args), args.format), args.out)
+        return 0
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (BudgetExceededError, RuntimeError) as exc:
+    except RuntimeError as exc:  # BudgetExceededError too
         print(f"computation failed: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # argparse --help

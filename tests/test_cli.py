@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from squarepoint.cli import main
 from squarepoint.filters import FilterConfig, FilterId
 from squarepoint.report import serialize, unavailable_lists
@@ -38,12 +40,25 @@ def test_sieve_text_mentions_zero_survivors(capsys):
     assert code == 0 and "survivors: 0" in out
 
 
-def test_sieve_usage_errors(capsys):
-    assert run(capsys, "sieve", "--z", "0")[0] == 1
-    assert run(capsys, "sieve", "--z", "x")[0] == 1
-    assert run(capsys, "sieve", "--z", "60", "--filters", "nope")[0] == 1
-    assert run(capsys, "sieve", "--z", "60", "--format", "yaml")[0] == 1
-    assert run(capsys, "bogus-command")[0] == 1
+@pytest.mark.parametrize("argv, message", [
+    ("sieve --z 0", "z must be positive"),
+    ("sieve --z x", "argument --z: invalid int value: 'x'"),
+    ("sieve --z 60 --filters nope", "argument --filters: unknown filter in 'nope'; "
+     "valid ids: " + ",".join(f.value for f in FilterId)),
+    ("sieve --z 60 --format yaml", "argument --format: invalid choice: 'yaml'"),
+    ("bogus-command", "argument command: invalid choice: 'bogus-command'"),
+    ("search --z-min 1 --z-max 5 --threads 0", "workers must be positive"),
+    ("three-distance --z-max 5 --min-count 5", "min_count must be within 0..4"),
+    ("three-distance --z-min 0 --z-max 5", "need 1 <= z_min <= z_max"),
+    ("distances --z 0 --x 0 --y 0", "candidate Candidate(x=0, y=0, z=0) outside its square"),
+    ("lists --z 0", "unavailable lists are defined for even z >= 2"),
+])
+def test_usage_errors(capsys, argv, message):
+    # one rule, one message: the library's (or argparse's), on one error line
+    code, out, err = run(capsys, *argv.split())
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
 
 
 def test_search_threads_do_not_change_bytes(capsys):
@@ -57,7 +72,7 @@ def test_search_threads_do_not_change_bytes(capsys):
 
 def test_search_rejects_bad_range(capsys):
     code, _, err = run(capsys, "search", "--z-min", "9", "--z-max", "5")
-    assert code == 1 and "z-min" in err
+    assert code == 1 and "need 1 <= z_min <= z_max" in err
 
 
 def test_search_budget(capsys):
