@@ -70,6 +70,22 @@ class Verdict(NamedTuple):
 
 UNDECIDED = Verdict(None, None)
 
+# tuple.__new__(Cls, values) builds a NamedTuple at C speed, without the
+# Python frame of the generated Cls(...): one per eliminated candidate.
+_new = tuple.__new__
+
+
+class SharedDict(dict):
+    """A dict that refuses changes, as every holder shares it; a copy is a plain dict."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a shared dict cannot be changed; copy it first")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return dict, (dict(self),)
+
 
 class Attribution(NamedTuple):
     """(filter, verdict) pairs for one candidate, in FilterId order.
@@ -94,6 +110,8 @@ class Attribution(NamedTuple):
 
 # full_attribution of a candidate that every filter leaves undecided
 ALL_UNDECIDED = Attribution(tuple((fid, UNDECIDED) for fid in FilterId))
+# run_pipeline of a candidate that every enabled filter leaves undecided
+_NO_HIT = Attribution(())
 
 
 # The congruence and prime-power conditions (theorem2, theorem4) quantify
@@ -125,14 +143,20 @@ def filter_boundary(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
     """Edges, midlines and diagonals carry no four-distance point."""
     x, y, z = c
     if x == 0 or x == z or y == 0 or y == z:
-        tag = "edge"
-    elif 2 * x == z or 2 * y == z:
-        tag = "midline"
-    elif x == y or x + y == z:
-        tag = "diagonal"
-    else:
-        return UNDECIDED
-    return Verdict(_BOUNDARY, {"kind": "boundary", "tag": tag})
+        return _EDGE
+    if 2 * x == z or 2 * y == z:
+        return _MIDLINE
+    if x == y or x + y == z:
+        return _DIAGONAL
+    return UNDECIDED
+
+
+# The witnesses that do not depend on the candidate: one shared Verdict
+# each, its witness read-only.
+_EDGE, _MIDLINE, _DIAGONAL = (Verdict(_BOUNDARY, SharedDict(kind="boundary", tag=t))
+                              for t in ("edge", "midline", "diagonal"))
+_ONE_ODD_ONE_EVEN, _SIDE_MOD_12 = (Verdict(_PARITY, SharedDict(kind="parity", clause=t))
+                                   for t in ("one_odd_one_even", "side_mod_12"))
 
 
 @lru_cache(maxsize=1 << 12)
@@ -158,7 +182,7 @@ def filter_lemma3(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
     for side, d in (("x", x), ("y", y), ("z-x", z - x), ("z-y", z - y)):
         if d in dangerous:
             n = z // d
-            return Verdict(_LEMMA3, {"kind": "lemma3", "side": side, "d": d, "n": n})
+            return _new(Verdict, (_LEMMA3, {"kind": "lemma3", "side": side, "d": d, "n": n}))
     return UNDECIDED
 
 
@@ -195,18 +219,18 @@ def filter_parity_residue(c: Candidate, cfg: FilterConfig | None = None) -> Verd
     corner A does.
     """
     x, y, z = c
-    even = y if x % 2 else x
     if x % 2 == y % 2:
-        witness = {"kind": "parity", "clause": "one_odd_one_even"}
-    elif even % 4:
+        return _ONE_ODD_ONE_EVEN
+    even = y if x % 2 else x
+    if even % 4:
         witness = {"kind": "parity", "clause": "even_coordinate_mod_4", "value": even}
     elif z % 12:
-        witness = {"kind": "parity", "clause": "side_mod_12"}
+        return _SIDE_MOD_12
     elif x % 3 and y % 3:
         witness = {"kind": "parity", "clause": "corner_mod_3", "corner": "A", "legs": [x, y]}
     else:
         return UNDECIDED
-    return Verdict(_PARITY, witness)
+    return _new(Verdict, (_PARITY, witness))
 
 
 _LEG_NAMES = (("x", "y"), ("x", "z-y"), ("z-x", "z-y"), ("z-x", "y"))
@@ -238,10 +262,10 @@ def filter_theorem1(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
     for corner, (a, b), (na, nb) in zip(CORNERS, legs, _LEG_NAMES):
         for leg, val, other in ((na, a, b), (nb, b, a)):
             if val * val < 2 * other + 1:
-                return Verdict(FilterId.THEOREM1, {
+                return _new(Verdict, (FilterId.THEOREM1, {
                     "kind": "inequality", "corner": corner, "leg": leg,
                     "lhs": val * val, "rhs": 2 * other + 1,
-                })
+                }))
     return UNDECIDED
 
 
@@ -280,9 +304,9 @@ def filter_theorem2(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
             corner, legs = "B", [x, z - y]
         else:
             continue
-        return Verdict(
+        return _new(Verdict, (
             FilterId.THEOREM2, {"kind": "congruence", "p": p, "corner": corner, "legs": legs}
-        )
+        ))
     return UNDECIDED
 
 
@@ -297,9 +321,9 @@ def filter_theorem3(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
     x, _, z = c
     for side, t in (("x", x), ("z-x", z - x)):
         if odd_prime(t):
-            return Verdict(
+            return _new(Verdict, (
                 FilterId.THEOREM3, {"kind": "prime", "side": side, "value": t}
-            )
+            ))
     return UNDECIDED
 
 
@@ -317,10 +341,10 @@ def filter_theorem4(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
     for side, t in (("x", x), ("z-x", z - x)):
         root = theorem4_root(t)
         if root is not None:
-            return Verdict(
+            return _new(Verdict, (
                 FilterId.THEOREM4,
                 {"kind": "prime_power", "side": side, "p": root[0], "e": root[1]},
-            )
+            ))
     return UNDECIDED
 
 
@@ -361,7 +385,7 @@ def filter_theorem5(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
         shape = theorem5_shape(t)
         if shape is not None:
             h, m, fact = shape
-            return Verdict(
+            return _new(Verdict, (
                 FilterId.THEOREM5,
                 {
                     "kind": "shape5",
@@ -371,7 +395,7 @@ def filter_theorem5(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
                     "m": m,
                     "m_factors": [[p, e] for p, e in fact],
                 },
-            )
+            ))
     return UNDECIDED
 
 
@@ -405,7 +429,7 @@ def filter_cor52(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
         if split is not None:
             witness = {"kind": "cor52", "target": target, "value": t}
             witness.update(zip(("q1", "q2", "h", "m"), split))
-            return Verdict(FilterId.COROLLARY52, witness)
+            return _new(Verdict, (FilterId.COROLLARY52, witness))
     return UNDECIDED
 
 
@@ -435,7 +459,7 @@ def filter_theorem6(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
         return UNDECIDED
     witness = {"kind": "theorem6"}
     witness.update(zip(("p1", "p2", "q1", "q2"), first + second))
-    return Verdict(FilterId.THEOREM6, witness)
+    return _new(Verdict, (FilterId.THEOREM6, witness))
 
 
 # The one-axis filters whose per-value test ignores z: the axis whose side
@@ -503,8 +527,8 @@ def run_pipeline(c: Candidate, cfg: FilterConfig, mode: str = FIRST_HIT) -> Attr
     for fid, func in _enabled_in_order(cfg.enabled):
         verdict = func(c)
         if verdict.filter_id is not None:
-            return Attribution(((fid, verdict),))
-    return Attribution(())
+            return _new(Attribution, (((fid, verdict),),))
+    return _NO_HIT
 
 
 def full_attribution(c: Candidate, passed: frozenset[FilterId] = frozenset()) -> Attribution:
@@ -607,31 +631,30 @@ def _recheck_theorem3(c: Candidate, witness: dict) -> bool:
 
 def _recheck_theorem4(c: Candidate, witness: dict) -> bool:
     p, e = witness["p"], witness["e"]
-    return (
-        is_prime(p)
-        and jacobi(2, p) == -1
-        and e >= 1
-        and p**e == _side_value(c, witness["side"])
-    )
+    side = _side_value(c, witness["side"])
+    # p >= 3, so p**e == side needs e <= side.bit_length(): a larger e is
+    # refused before p**e is built
+    return is_prime(p) and jacobi(2, p) == -1 and 1 <= e <= side.bit_length() and p**e == side
 
 
 def _recheck_theorem5(c: Candidate, witness: dict) -> bool:
-    t = witness["value"]
-    if t != _side_value(c, witness["target"]):
+    side = _side_value(c, witness["target"])
+    if witness["value"] != side:
         return False
-    return _recheck_shape(t, witness["h"], witness["m"])
+    return _recheck_shape(side, witness["h"], witness["m"], side)
 
 
 def _recheck_cor52(c: Candidate, witness: dict) -> bool:
-    t, q1, q2 = witness["value"], witness["q1"], witness["q2"]
-    if t != _side_value(c, witness["target"]):
+    q1, q2 = witness["q1"], witness["q2"]
+    side = _side_value(c, witness["target"])
+    if witness["value"] != side:
         return False
-    if q1 * q2 != t or q1 <= q2 or q2 < 1 or q1 % 2 == 0 or q2 % 2 == 0:
+    if q1 * q2 != side or q1 <= q2 or q2 < 1 or q1 % 2 == 0 or q2 % 2 == 0:
         return False
     if jacobi(2, q1) != -1 or jacobi(2, q2) != -1:
         return False
     s = (q1 * q1 - q2 * q2) // 4
-    return _recheck_shape(2 * s, witness["h"], witness["m"])
+    return _recheck_shape(2 * s, witness["h"], witness["m"], side)
 
 
 def _recheck_theorem6(c: Candidate, witness: dict) -> bool:
@@ -648,14 +671,19 @@ def _recheck_theorem6(c: Candidate, witness: dict) -> bool:
     )
 
 
-def _recheck_shape(t: int, h: int, m: int) -> bool:
-    if h < 1 or m < 1 or m % 2 == 0 or t != (1 << (h + 1)) * m or (1 << h) <= m:
+def _recheck_shape(t: int, h: int, m: int, side: int) -> bool:
+    # 2**(h+1) <= side, the cited side value: for theorem5 t is side; for
+    # corollary52 2**(h+1) divides q1 - q2 or q1 + q2 (the other is 2 mod 4),
+    # at most q1 * q2 = side.  A larger h is refused before 1 << (h + 1) is built.
+    if (h < 1 or m < 1 or m % 2 == 0 or h + 1 >= side.bit_length()
+            or t != (1 << (h + 1)) * m or (1 << h) <= m):
         return False
     return all(shape5_prime_allowed_literal(p) for p, _ in factorize(m))
 
 
-def _side_value(c: Candidate, side: str) -> int | None:
-    return {"x": c.x, "y": c.y, "z-x": c.z - c.x, "z-y": c.z - c.y}.get(side)
+def _side_value(c: Candidate, side: str) -> int:
+    """The side value named side; KeyError for an unknown name."""
+    return {"x": c.x, "y": c.y, "z-x": c.z - c.x, "z-y": c.z - c.y}[side]
 
 
 _PAIRED_CORNER = {"A": "C", "C": "A", "B": "D", "D": "B"}

@@ -21,6 +21,7 @@ from .filters import (
     UNDECIDED,
     Attribution,
     FilterId,
+    SharedDict,
     Verdict,
     lemma3_divisors,
     lemma3_sides,
@@ -92,21 +93,9 @@ def _verdict_to_dict(fid: FilterId, verdict: Verdict) -> dict:
     }
 
 
-class _SharedEntry(dict):
-    """A dict that refuses changes, as every tree shares it; a copy is a plain dict."""
-
-    def _refuse(self, *args, **kwargs):
-        raise TypeError("a shared UNDECIDED entry cannot be changed; copy it first")
-
-    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
-
-    def __reduce__(self):
-        return dict, (dict(self),)
-
-
 # Each filter's UNDECIDED entry, one object shared by every attribution that
 # holds it, so _write_json renders it once per indent.
-_UNDECIDED_ENTRIES = {fid: _SharedEntry(_verdict_to_dict(fid, UNDECIDED)) for fid in FilterId}
+_UNDECIDED_ENTRIES = {fid: SharedDict(_verdict_to_dict(fid, UNDECIDED)) for fid in FilterId}
 
 
 def _attribution_to_list(attribution: Attribution) -> list[dict]:

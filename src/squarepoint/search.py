@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import gcd
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .arith import factorize, pythagorean_partners
@@ -33,7 +34,6 @@ from .model import (
     Candidate,
     DistanceProfile,
     candidate_count,
-    canonical_interior_pairs,
     canonical_rows,
     canonicalize,
     distance_profile,
@@ -120,13 +120,14 @@ def enumerate_candidates(z: int, dedup: bool = False) -> Iterator[Candidate]:
     if z < 1:
         raise ValueError("z must be positive")
     if dedup:
-        # gcd(x, y, z) is gcd(g, y) with g = gcd(x, z), taken once per x
-        x0 = g = None
-        for x, y in canonical_interior_pairs(z):
-            if x != x0:
-                x0, g = x, gcd(x, z)
-            if g == 1 or gcd(g, y) == 1:
-                yield Candidate(x, y, z)
+        new = tuple.__new__  # a Candidate at C speed, without the generated __new__
+        for x, rows in itertools.groupby(canonical_rows(z), key=itemgetter(0)):
+            # an x's rows interleave in y; gcd(x, y, z) is gcd(g, y) with
+            # g = gcd(x, z), taken once per x
+            g = gcd(x, z)
+            ys = sorted(itertools.chain.from_iterable(ys for _, ys in rows))
+            for y in ys if g == 1 else [y for y in ys if gcd(g, y) == 1]:
+                yield new(Candidate, (x, y, z))
     else:
         for x in range(1, z):
             for y in range(1, z):

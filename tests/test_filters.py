@@ -3,6 +3,7 @@ first-hit pipeline against full attribution, configuration validation, and
 the congruence-filter equivalence."""
 
 import random
+import time
 
 import pytest
 
@@ -12,8 +13,10 @@ from squarepoint.filters import (
     FIRST_HIT,
     NONRESIDUE_PRIMES,
     ONE_AXIS,
+    Attribution,
     FilterConfig,
     FilterId,
+    Verdict,
     filter_boundary,
     filter_cor52,
     filter_lemma3,
@@ -231,6 +234,20 @@ def test_pipeline_full_verdicts_frozen_example():
     assert eliminating == {FilterId.THEOREM2, FilterId.THEOREM4, FilterId.THEOREM5}
 
 
+def test_pipeline_results_are_attributions_of_verdicts():
+    # built by tuple.__new__, they are still the NamedTuples, fields and all;
+    # z = 72 has survivors
+    survivors = 0
+    for c in enumerate_candidates(72, dedup=True):
+        att = run_pipeline(c, CFG)
+        assert type(att) is Attribution
+        assert att.eliminated_by is full_attribution(c).eliminated_by, c
+        survivors += att.survived
+        for fid, v in att.entries:
+            assert type(v) is Verdict and v.filter_id is fid and v.eliminated, c
+    assert survivors == 2
+
+
 def test_three_distance_points_may_fall():
     att = run_pipeline(Candidate(7, 24, 52), CFG, FIRST_HIT)
     assert not att.survived  # z = 52 is not a multiple of 12
@@ -293,6 +310,27 @@ def test_recheck_reads_malformed_witnesses_as_false():
     ]
     for fid, witness in malformed:
         assert recheck_witness(c, fid, witness) is False, (fid, witness)
+
+
+def test_recheck_refuses_huge_exponents_in_bounded_time():
+    # a valid witness bounds e and h by the side value's bit length, so a
+    # forged one is refused before p**e or 1 << (h + 1) is built
+    cases = [
+        (Candidate(27, 2, 60), FilterId.THEOREM4, filter_theorem4, "e"),
+        (Candidate(1, 24, 60), FilterId.THEOREM5, filter_theorem5, "h"),
+        (Candidate(15, 2, 64), FilterId.COROLLARY52, filter_cor52, "h"),
+    ]
+    for c, fid, func, field in cases:
+        witness = func(c).witness
+        assert recheck_witness(c, fid, witness), fid
+        forged = {**witness, field: 10**12}
+        start = time.perf_counter()
+        assert recheck_witness(c, fid, forged) is False, fid
+        assert time.perf_counter() - start < 0.1, fid
+        # an unknown side and a non-int exponent still read False
+        side = "side" if fid is FilterId.THEOREM4 else "target"
+        assert recheck_witness(c, fid, {**witness, side: "w"}) is False, fid
+        assert recheck_witness(c, fid, {**witness, field: "2"}) is False, fid
 
 
 def _one_eliminated_per_filter(z_max):

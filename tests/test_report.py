@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import pickle
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from squarepoint.filters import (
     filter_theorem3,
     filter_theorem4,
     filter_theorem5,
+    run_pipeline,
 )
 from squarepoint.model import Candidate
 from squarepoint.report import (
@@ -216,20 +218,23 @@ def test_json_matches_stdlib_per_payload():
     assert serialize(parsed) == serialize(single)
 
 
+# every way to change a dict in place
+EDITS = [
+    lambda e: e.__setitem__("witness", {"kind": "edited"}),
+    lambda e: e.update(eliminated=True),
+    lambda e: e.setdefault("note", 1),
+    lambda e: e.__ior__({"note": 1}),
+    lambda e: e.pop("witness"),
+    lambda e: e.__delitem__("filter"),
+    lambda e: e.popitem(),
+    lambda e: e.clear(),
+]
+
+
 def test_edit_of_one_tree_reaches_no_other():
     tree = report.sieve_result_to_dict(sieve_z(240))
     entry = tree["survivors"][0]["attribution"][0]
-    edits = [
-        lambda e: e.__setitem__("witness", {"kind": "edited"}),
-        lambda e: e.update(eliminated=True),
-        lambda e: e.setdefault("note", 1),
-        lambda e: e.__ior__({"note": 1}),
-        lambda e: e.pop("witness"),
-        lambda e: e.__delitem__("filter"),
-        lambda e: e.popitem(),
-        lambda e: e.clear(),
-    ]
-    for edit in edits:
+    for edit in EDITS:
         try:
             edit(entry)
         except TypeError:
@@ -244,6 +249,35 @@ def test_edit_of_one_tree_reaches_no_other():
     copied = copy.deepcopy(fresh)
     copied["survivors"][0]["attribution"][0]["witness"] = {"kind": "edited"}
     assert serialize(result, "json") == (json.dumps(fresh, indent=2) + "\n").encode("utf-8")
+
+
+def test_shared_witness_refuses_every_edit():
+    # the witnesses that do not depend on the candidate, as run_pipeline
+    # gives them (an edge is never interior)
+    literals = [
+        {"kind": "boundary", "tag": "midline"},
+        {"kind": "boundary", "tag": "diagonal"},
+        {"kind": "parity", "clause": "one_odd_one_even"},
+        {"kind": "parity", "clause": "side_mod_12"},
+    ]
+    found = {}  # literal index: [(candidate, verdict)]
+    for c in search.enumerate_candidates(52, dedup=True):
+        for _, verdict in run_pipeline(c, FilterConfig()).entries:
+            if verdict.witness in literals:
+                found.setdefault(literals.index(verdict.witness), []).append((c, verdict))
+    assert sorted(found) == list(range(len(literals)))
+    for i, hits in found.items():
+        literal = literals[i]
+        # every candidate failing the clause at one z gets the one Verdict
+        assert len(hits) > 1 and all(v is hits[0][1] for _, v in hits), literal
+        for edit in EDITS:
+            with pytest.raises(TypeError):
+                edit(hits[0][1].witness)
+        c = hits[-1][0]
+        witness = run_pipeline(c, FilterConfig()).entries[0][1].witness
+        assert witness == literal
+        for copied in (pickle.loads(pickle.dumps(witness)), copy.deepcopy(witness)):
+            assert type(copied) is dict and copied == literal
 
 
 def test_json_writer_rejects_other_types():

@@ -64,6 +64,9 @@ def test_enumerate_dedup_matches_filtering():
         dedup = list(enumerate_candidates(z, dedup=True))
         assert dedup == [c for c in plain if canonicalize(c) == c], z
         assert dedup == sorted(dedup), z
+        # built by tuple.__new__, each is still a Candidate with named fields
+        assert all(type(c) is Candidate and (c.x, c.y, c.z) == (c[0], c[1], z)
+                   for c in dedup), z
 
 
 def test_candidate_count_matches_enumeration():
