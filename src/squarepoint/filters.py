@@ -549,7 +549,9 @@ def recheck_witness(c: Candidate, fid: FilterId, witness: dict) -> bool:
     power-of-two shapes.  Witnesses may come from outside JSON, so an fid
     that is not a FilterId, a kind that is not fid's, an unknown corner,
     side or target, and a field that is missing or of the wrong type all
-    read False.
+    read False.  A number the check reads must be an int: a float or a
+    bool that equals the right value reads False too, as does an even p,
+    for which no Jacobi symbol (2/p) exists.
     """
     kind, check = _RECHECKS.get(fid, (None, None))
     if kind is None or witness.get("kind") != kind:
@@ -573,7 +575,8 @@ def _recheck_lemma3(c: Candidate, witness: dict) -> bool:
     x, y, z = c
     d, n = witness["d"], witness["n"]
     return (
-        d in (x, y, z - x, z - y)
+        type(d) is int and type(n) is int
+        and d in (x, y, z - x, z - y)
         and d >= 1
         and n * d == z
         and is_prime(n)
@@ -588,21 +591,23 @@ def _recheck_parity(c: Candidate, witness: dict) -> bool:
         return x % 2 == y % 2
     if clause == "even_coordinate_mod_4":
         even = witness["value"]
-        return even in (x, y) and even % 2 == 0 and even % 4 != 0
+        return type(even) is int and even in (x, y) and even % 2 == 0 and even % 4 != 0
     if clause == "side_mod_12":
         return z % 12 != 0
     if clause == "corner_mod_3":
         a, b = _legs_at(c, witness["corner"])
-        return [a, b] == witness["legs"] and a % 3 != 0 and b % 3 != 0
+        return _cites_legs(witness, a, b) and a % 3 != 0 and b % 3 != 0
     return False
 
 
 def _recheck_theorem1(c: Candidate, witness: dict) -> bool:
     a, b = _legs_at(c, witness["corner"])
     val, other = (a, b) if witness["leg"] in ("x", "z-x") else (b, a)
+    lhs, rhs = witness["lhs"], witness["rhs"]
     return (
-        witness["lhs"] == val * val
-        and witness["rhs"] == 2 * other + 1
+        type(lhs) is int and type(rhs) is int
+        and lhs == val * val
+        and rhs == 2 * other + 1
         and val * val < 2 * other + 1
     )
 
@@ -611,9 +616,11 @@ def _recheck_theorem2(c: Candidate, witness: dict) -> bool:
     p, corner = witness["p"], witness["corner"]
     a, b = _legs_at(c, corner)
     if not (
-        is_prime(p)
+        type(p) is int
+        and p % 2 == 1
+        and is_prime(p)
         and jacobi(2, p) == -1
-        and [a, b] == witness["legs"]
+        and _cites_legs(witness, a, b)
         and (a - b) % p == 0
     ):
         return False
@@ -625,8 +632,8 @@ def _recheck_theorem2(c: Candidate, witness: dict) -> bool:
 
 
 def _recheck_theorem3(c: Candidate, witness: dict) -> bool:
-    t = witness["value"]
-    return t == _side_value(c, witness["side"]) and t % 2 == 1 and is_prime(t)
+    t = _side_value(c, witness["side"])
+    return _cites_value(witness, t) and t % 2 == 1 and is_prime(t)
 
 
 def _recheck_theorem4(c: Candidate, witness: dict) -> bool:
@@ -634,12 +641,13 @@ def _recheck_theorem4(c: Candidate, witness: dict) -> bool:
     side = _side_value(c, witness["side"])
     # p >= 3, so p**e == side needs e <= side.bit_length(): a larger e is
     # refused before p**e is built
-    return is_prime(p) and jacobi(2, p) == -1 and 1 <= e <= side.bit_length() and p**e == side
+    return (type(p) is int and type(e) is int and p % 2 == 1 and is_prime(p)
+            and jacobi(2, p) == -1 and 1 <= e <= side.bit_length() and p**e == side)
 
 
 def _recheck_theorem5(c: Candidate, witness: dict) -> bool:
     side = _side_value(c, witness["target"])
-    if witness["value"] != side:
+    if not _cites_value(witness, side):
         return False
     return _recheck_shape(side, witness["h"], witness["m"], side)
 
@@ -647,7 +655,7 @@ def _recheck_theorem5(c: Candidate, witness: dict) -> bool:
 def _recheck_cor52(c: Candidate, witness: dict) -> bool:
     q1, q2 = witness["q1"], witness["q2"]
     side = _side_value(c, witness["target"])
-    if witness["value"] != side:
+    if not _cites_value(witness, side) or type(q1) is not int or type(q2) is not int:
         return False
     if q1 * q2 != side or q1 <= q2 or q2 < 1 or q1 % 2 == 0 or q2 % 2 == 0:
         return False
@@ -659,9 +667,10 @@ def _recheck_cor52(c: Candidate, witness: dict) -> bool:
 
 def _recheck_theorem6(c: Candidate, witness: dict) -> bool:
     x, _, z = c
-    p1, p2, q1, q2 = (witness[k] for k in ("p1", "p2", "q1", "q2"))
+    p1, p2, q1, q2 = primes = [witness[k] for k in ("p1", "p2", "q1", "q2")]
     return (
-        p1 * p2 == x
+        all(type(t) is int for t in primes)
+        and p1 * p2 == x
         and q1 * q2 == z - x
         and p1 != p2
         and q1 != q2
@@ -675,10 +684,23 @@ def _recheck_shape(t: int, h: int, m: int, side: int) -> bool:
     # 2**(h+1) <= side, the cited side value: for theorem5 t is side; for
     # corollary52 2**(h+1) divides q1 - q2 or q1 + q2 (the other is 2 mod 4),
     # at most q1 * q2 = side.  A larger h is refused before 1 << (h + 1) is built.
-    if (h < 1 or m < 1 or m % 2 == 0 or h + 1 >= side.bit_length()
+    if (type(h) is not int or type(m) is not int
+            or h < 1 or m < 1 or m % 2 == 0 or h + 1 >= side.bit_length()
             or t != (1 << (h + 1)) * m or (1 << h) <= m):
         return False
     return all(shape5_prime_allowed_literal(p) for p, _ in factorize(m))
+
+
+def _cites_value(witness: dict, side: int) -> bool:
+    """The witness's "value" is the int side."""
+    value = witness["value"]
+    return type(value) is int and value == side
+
+
+def _cites_legs(witness: dict, a: int, b: int) -> bool:
+    """The witness's "legs" are the ints [a, b]."""
+    legs = witness["legs"]
+    return legs == [a, b] and type(legs[0]) is type(legs[1]) is int
 
 
 def _side_value(c: Candidate, side: str) -> int:

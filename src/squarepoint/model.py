@@ -8,11 +8,11 @@ through A and D.  All reports use the fixed corner order A, B, C, D.
 from __future__ import annotations
 
 import itertools
-from math import gcd
+from math import gcd, isqrt
 from operator import itemgetter
-from typing import Iterator, NamedTuple
+from typing import Collection, Iterator, NamedTuple
 
-from .arith import factorize, isqrt
+from .arith import factorize
 
 CORNERS = ("A", "B", "C", "D")
 
@@ -39,7 +39,7 @@ class DistanceProfile(NamedTuple):
 
     @property
     def integer_count(self) -> int:
-        return sum(r is not None for r in self.roots)
+        return 4 - self.roots.count(None)
 
 
 def _check_bounds(c: Candidate) -> None:
@@ -54,17 +54,19 @@ def corner_legs(c: Candidate) -> tuple[tuple[int, int], ...]:
     return (x, y), (x, z - y), (z - x, z - y), (z - x, y)
 
 
+# tuple.__new__(Cls, values) builds a NamedTuple at C speed, without the
+# Python frame of the generated Cls(...)
+_new = tuple.__new__
+
+
 def distance_profile(c: Candidate) -> DistanceProfile:
     """Exact squared distances to the four corners, with roots where square."""
-    legs = corner_legs(c)
-    squared = []
+    squared = tuple([a * a + b * b for a, b in corner_legs(c)])
     roots = []
-    for a, b in legs:
-        s = a * a + b * b
-        r, exact = isqrt(s)
-        squared.append(s)
-        roots.append(r if exact else None)
-    return DistanceProfile(tuple(squared), tuple(roots))
+    for s in squared:
+        r = isqrt(s)
+        roots.append(r if r * r == s else None)
+    return _new(DistanceProfile, (squared, tuple(roots)))
 
 
 def orbit(c: Candidate) -> set[Candidate]:
@@ -129,16 +131,6 @@ def canonical_interior_pairs(z: int) -> Iterator[tuple[int, int]]:
             yield x, y
 
 
-def is_canonical(x: int, y: int, z: int) -> bool:
-    """True iff canonical_rows(z) holds (x, y): the same rule,
-    tested on one pair."""
-    if z % 2 == 0:
-        return (0 < x and 0 < y and 2 * x <= z and 2 * y <= z
-                and (x % 2 > y % 2 or (x % 2 == y % 2 and x <= y)))
-    return (0 < x and x % 2 == 1 and 0 < y and 2 * y < z
-            and (x <= y if y % 2 else x + y <= z))
-
-
 def candidate_count(z: int) -> int:
     """The number of primitive canonical interior points at side z, i.e. of
     symmetry orbits of primitive interior points, in closed form.
@@ -153,16 +145,60 @@ def candidate_count(z: int) -> int:
     """
     if z < 2:
         return 0
-    moebius = [(1, 1)]
-    for p, _ in factorize(z):
-        moebius += [(d * p, -mu) for d, mu in moebius]
-
-    def coprime_sides(m: int) -> int:  # t in 1..z-1 with gcd(t, m) = 1, m | z
-        return sum(mu * (z // d - 1) for d, mu in moebius if m % d == 0)
-
-    fixed = sum(mu * (z // d - 1) ** 2 for d, mu in moebius) + 2 * coprime_sides(z)
+    moebius = _moebius(z)
+    fixed = (sum(mu * (z // d - 1) ** 2 for d, mu in moebius)
+             + 2 * _coprime_sides(z, moebius, z))
     if z % 2 == 0:
-        fixed += 2 * coprime_sides(z // 2)
+        fixed += 2 * _coprime_sides(z, moebius, z // 2)
     if z == 2:
         fixed += 3
     return fixed // 8
+
+
+def line_orbits(z: int, sides: Collection[int], diagonals: bool) -> int:
+    """The number of symmetry orbits of primitive interior points at side z
+    with a coordinate in sides or, with diagonals, on y = x or y = z - x.
+    sides must lie in 1..z-1 and hold z - v with each v.
+
+    Burnside's lemma as in candidate_count, over the set S of those points,
+    which the symmetries map onto itself.  The identity fixes all of S: the
+    rows and columns at sides, less their crossings counted twice, plus the
+    primitive diagonal points (t, t) and (t, z - t) with t not in sides.
+    Each diagonal reflection fixes the primitive points of S on its
+    diagonal, each midline reflection (z even) those on its midline, and
+    the rotations fix only the centre, primitive only at z = 2.  The cost
+    is O(len(sides)**2) gcds, not one test per point.
+    """
+    if z < 2:
+        return 0
+    if z == 2:  # the centre (1, 1) is the only interior point
+        return int(bool(sides) or diagonals)
+    moebius = _moebius(z)
+    fixed = (2 * sum(_coprime_sides(z, moebius, gcd(v, z)) for v in sides)
+             - sum(gcd(u, v, z) == 1 for u in sides for v in sides))
+    # primitive (t, t) in S, as many as primitive (t, z - t) in S
+    on_diagonal = sum(gcd(v, z) == 1 for v in sides)
+    if diagonals:
+        phi = _coprime_sides(z, moebius, z)
+        fixed += 2 * (phi - on_diagonal)
+        on_diagonal = phi
+    fixed += 2 * on_diagonal
+    if z % 2 == 0:
+        half = z // 2  # primitive (half, t) in S, as many as primitive (t, half)
+        on_midline = (_coprime_sides(z, moebius, half) if half in sides
+                      else sum(gcd(v, half) == 1 for v in sides))
+        fixed += 2 * on_midline
+    return fixed // 8
+
+
+def _moebius(z: int) -> list[tuple[int, int]]:
+    """(d, mu(d)) for the squarefree divisors d of z."""
+    moebius = [(1, 1)]
+    for p, _ in factorize(z):
+        moebius += [(d * p, -mu) for d, mu in moebius]
+    return moebius
+
+
+def _coprime_sides(z: int, moebius: list[tuple[int, int]], m: int) -> int:
+    """The t in 1..z-1 with gcd(t, m) = 1, for m dividing z."""
+    return sum(mu * (z // d - 1) for d, mu in moebius if m % d == 0)

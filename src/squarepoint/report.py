@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .filters import (
+    ALL_UNDECIDED,
     ONE_AXIS,
     UNDECIDED,
     Attribution,
@@ -93,12 +94,30 @@ def _verdict_to_dict(fid: FilterId, verdict: Verdict) -> dict:
     }
 
 
+class SharedList(list):
+    """A list that refuses changes, as every holder shares it; a copy is a plain list."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a shared list cannot be changed; copy it first")
+
+    __setitem__ = __delitem__ = __iadd__ = __imul__ = _refuse
+    append = extend = insert = pop = remove = clear = sort = reverse = _refuse
+
+    def __reduce__(self):
+        return list, (list(self),)
+
+
 # Each filter's UNDECIDED entry, one object shared by every attribution that
-# holds it, so _write_json renders it once per indent.
+# holds it, and the entries of ALL_UNDECIDED, one list shared by every
+# survivor that passed every filter, so _write_json renders each once per
+# indent.
 _UNDECIDED_ENTRIES = {fid: SharedDict(_verdict_to_dict(fid, UNDECIDED)) for fid in FilterId}
+_ALL_UNDECIDED_ENTRIES = SharedList(_UNDECIDED_ENTRIES.values())
 
 
 def _attribution_to_list(attribution: Attribution) -> list[dict]:
+    if attribution is ALL_UNDECIDED:
+        return _ALL_UNDECIDED_ENTRIES
     return [
         _UNDECIDED_ENTRIES[fid] if v is UNDECIDED else _verdict_to_dict(fid, v)
         for fid, v in attribution.entries
@@ -371,8 +390,12 @@ def _render_text(result) -> str:
 
 
 _escape = json.encoder.encode_basestring_ascii  # the C escaper where built
-# id of a shared UNDECIDED entry -> {nl: its text}
-_ENTRY_TEXTS: dict[int, dict[str, str]] = {id(e): {} for e in _UNDECIDED_ENTRIES.values()}
+# id of a shared entry or list -> {nl: its text}
+_SHARED_TEXTS: dict[int, dict[str, str]] = {
+    id(e): {} for e in (*_UNDECIDED_ENTRIES.values(), _ALL_UNDECIDED_ENTRIES)
+}
+# the types json.dumps encodes, bool before int as bool subclasses int
+_JSON_TYPES = (str, bool, int, float, list, tuple, dict, type(None))
 
 
 def _write_json(o, out: list[str], nl: str) -> None:
@@ -382,36 +405,26 @@ def _write_json(o, out: list[str], nl: str) -> None:
     json.dumps runs its C encoder only without indent; with indent=2 every
     value passes through one Python generator per enclosing container.
     Only str keys and the types json.dumps itself encodes are written; any
-    other type raises TypeError.  A shared UNDECIDED entry is rendered once
-    per nl and its text reused.
+    other type raises TypeError.  A shared entry or list is rendered once
+    per nl and its text reused.  An object of exactly int, dict, str or
+    list, the types a payload holds most, takes its branch at once; any
+    other is looked up as a shared object, then by the JSON type it is an
+    instance of.
     """
-    if isinstance(o, str):
-        out.append(_escape(o))
-    elif o is None:
-        out.append("null")
-    elif o is True:
-        out.append("true")
-    elif o is False:
-        out.append("false")
-    elif isinstance(o, int):
+    t = type(o)
+    if t is not int and t is not dict and t is not str and t is not list:
+        texts = _SHARED_TEXTS.get(id(o))
+        if texts is not None:
+            if nl not in texts:
+                part: list[str] = []
+                _write_json(o.copy(), part, nl)  # a plain dict or list: written out
+                texts[nl] = "".join(part)
+            out.append(texts[nl])
+            return
+        t = next((base for base in _JSON_TYPES if isinstance(o, base)), None)
+    if t is int:
         out.append(int.__repr__(o))
-    elif isinstance(o, float):
-        out.append(json.dumps(o))
-    elif isinstance(o, (list, tuple)):
-        inner = nl + "  "
-        sep = "[" + inner
-        for v in o:
-            out.append(sep)
-            _write_json(v, out, inner)
-            sep = "," + inner
-        out.append(nl + "]" if o else "[]")
-    elif (texts := _ENTRY_TEXTS.get(id(o))) is not None:
-        if nl not in texts:
-            part: list[str] = []
-            _write_json(dict(o), part, nl)  # the copy is not shared: written out
-            texts[nl] = "".join(part)
-        out.append(texts[nl])
-    elif isinstance(o, dict):
+    elif t is dict:
         inner = nl + "  "
         sep = "{" + inner
         for k, v in o.items():
@@ -421,6 +434,22 @@ def _write_json(o, out: list[str], nl: str) -> None:
             _write_json(v, out, inner)
             sep = "," + inner
         out.append(nl + "}" if o else "{}")
+    elif t is str:
+        out.append(_escape(o))
+    elif t is list or t is tuple:
+        inner = nl + "  "
+        sep = "[" + inner
+        for v in o:
+            out.append(sep)
+            _write_json(v, out, inner)
+            sep = "," + inner
+        out.append(nl + "]" if o else "[]")
+    elif t is bool:
+        out.append("true" if o else "false")
+    elif o is None:
+        out.append("null")
+    elif t is float:
+        out.append(json.dumps(o))
     else:
         raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 

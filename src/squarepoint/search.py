@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Collection, Iterator, NamedTuple
 
 from .arith import factorize, pythagorean_partners
 from .filters import (
@@ -37,11 +37,16 @@ from .model import (
     canonical_rows,
     canonicalize,
     distance_profile,
-    is_canonical,
+    line_orbits,
     orbit,
 )
 
 DEFAULT_BUDGET = 10**9
+
+# tuple.__new__(Cls, values) builds a NamedTuple at C speed, without the
+# Python frame of the generated Cls(...): a Candidate per candidate the
+# dedup walk yields, and a Candidate and a Survivor per survivor.
+_new = tuple.__new__
 
 
 class BudgetExceededError(RuntimeError):
@@ -120,14 +125,13 @@ def enumerate_candidates(z: int, dedup: bool = False) -> Iterator[Candidate]:
     if z < 1:
         raise ValueError("z must be positive")
     if dedup:
-        new = tuple.__new__  # a Candidate at C speed, without the generated __new__
         for x, rows in itertools.groupby(canonical_rows(z), key=itemgetter(0)):
             # an x's rows interleave in y; gcd(x, y, z) is gcd(g, y) with
             # g = gcd(x, z), taken once per x
             g = gcd(x, z)
             ys = sorted(itertools.chain.from_iterable(ys for _, ys in rows))
             for y in ys if g == 1 else [y for y in ys if gcd(g, y) == 1]:
-                yield new(Candidate, (x, y, z))
+                yield _new(Candidate, (x, y, z))
     else:
         for x in range(1, z):
             for y in range(1, z):
@@ -221,29 +225,11 @@ def oracle_scan(req: ScanRequest) -> ScanReport:
     return ScanReport(req, tuple(hits))
 
 
-def _on_lines(z: int, points: Iterator[tuple[int, int]]) -> set[tuple[int, int]]:
-    """The primitive canonical interior pairs among points."""
-    return {(x, y) for x, y in points if gcd(x, y, z) == 1 and is_canonical(x, y, z)}
-
-
-def _rows_and_columns(z: int, values: Iterable[int]) -> Iterator[tuple[int, int]]:
-    """The interior points with x or y in values, 2y <= z, and 2x <= z if z
-    is even: the bounds of every canonical pair."""
-    x_max = z // 2 if z % 2 == 0 else z - 1
-    for v in values:
-        if v <= x_max:
-            for t in range(1, z // 2 + 1):
-                yield v, t
-        if 2 * v <= z:
-            for t in range(1, x_max + 1):
-                yield t, v
-
-
 # A row byte has one bit for each filter that a walked pair can reach, in
-# FilterId order: bit 0 marks a pair that a line count holds (see sieve_z)
-# or that is not primitive, and each filter from theorem1 on has its BIT >> 2,
-# so the lowest set bit is the first hit.  _ROW_CODE maps a row byte to 1 +
-# the index of its lowest set bit: 0 for a survivor, 1 for a skipped pair,
+# FilterId order: bit 0 marks a pair on a counted line (see sieve_z) or not
+# primitive, and each filter from theorem1 on has its BIT >> 2, so the
+# lowest set bit is the first hit.  _ROW_CODE maps a row byte to 1 + the
+# index of its lowest set bit: 0 for a survivor, 1 for a skipped pair,
 # i - 1 for the i-th filter.
 _ROW_FILTERS = tuple(FilterId)[3:]
 _ROW_CODE = bytes((b & -b).bit_length() for b in range(256))
@@ -258,31 +244,33 @@ def _walk_rows(
     z: int,
     rows: Iterator[tuple[int, range]],
     enabled: frozenset[FilterId],
-    counted: set[tuple[int, int]],
+    sides: Collection[int],
+    diagonals: bool,
 ) -> tuple[bytes, list[Candidate]]:
     """The first-hit codes (see _ROW_CODE) of the pairs (x, y) of rows, row
     after row, and the survivors among them, ascending (x, y), under the
-    enabled filters; counted holds the pairs to skip.
+    enabled filters.  The pairs on the counted lines are skipped: those
+    with x or y in sides and, with diagonals, those with y = x or y = z - x.
 
     A row's bytes are one little-endian int, ORed from strided slices of
     per-z tables: the one-axis bits of y (a filters.ruled_values plane per
-    enabled filter), theorem2_marks and, for each prime of gcd(x, z), its
-    multiples.  x's one-axis bits fill the row, theorem1 sets a prefix and
-    a suffix (theorem1_y_bounds), and the counted pairs of the row set bit 0.
+    enabled filter, and bit 0 at sides), theorem2_marks and, for each prime
+    of gcd(x, z), its multiples.  x's one-axis bits fill the row, theorem1
+    sets a prefix and a suffix (theorem1_y_bounds), and the diagonals set
+    bit 0 at y = x and y = z - x.
     """
     row_bit = {fid: BIT[fid] >> 2 if fid in enabled else 0 for fid in _ROW_FILTERS}
-    # the planes are 0/1 bytes, so a sum of them times distinct bits is an OR
-    x_bits, y_bits = (sum(
+    # the planes are 0/1 bytes, so a sum of them times distinct bits is an
+    # OR; bit 0 at the counted sides is a bit no filter uses
+    counted = sum(1 << 8 * v for v in sides)
+    x_bits, y_bits = ((counted + sum(
         int.from_bytes(ruled_values(z, fid), "little") * row_bit[fid]
         for fid, (axis, _) in ONE_AXIS.items() if axis == side and row_bit[fid]
-    ).to_bytes(z + 1, "little") for side in "xy")
+    )).to_bytes(z + 1, "little") for side in "xy")
     theorem1, theorem2 = row_bit[FilterId.THEOREM1], row_bit[FilterId.THEOREM2]
     marks = theorem2_marks(z) if theorem2 else b""
     # (p, entry y is 1 iff p divides y) for the primes p of z
     multiples = [(p, (b"\x01" + bytes(p - 1)) * (z // p + 1)) for p, _ in factorize(z)]
-    counted_ys: dict[int, list[int]] = {}
-    for x, y in counted:
-        counted_ys.setdefault(x, []).append(y)
     out = []
     survivors = []
     for x, ys in rows:
@@ -302,13 +290,14 @@ def _walk_rows(
         for p, table in multiples:
             if x % p == 0:
                 flags |= int.from_bytes(table[start:stop:step], "little")
-        for y in counted_ys.get(x, ()):
-            if y in ys:
-                flags |= 1 << 8 * ys.index(y)
+        if diagonals:
+            for y in (x, z - x):
+                if y in ys:
+                    flags |= 1 << 8 * ys.index(y)
         row = flags.to_bytes(n, "little")
         i = row.find(0)
         while i >= 0:
-            survivors.append(Candidate(x, ys[i], z))
+            survivors.append(_new(Candidate, (x, ys[i], z)))
             i = row.find(0, i + 1)
         out.append(row)
     survivors.sort()  # an x's two canonical rows interleave in y
@@ -323,17 +312,19 @@ def sieve_z(z: int, cfg: FilterConfig | None = None, mode: str = FIRST_HIT) -> S
     Only the candidates that can pass parity are visited, a row (x, ys) at
     a time: parity_rows(z) with parity enabled, every canonical row
     (model.canonical_rows) otherwise.  The rest are counted.  The total is
-    candidate_count(z); boundary's first hits are the points on the
+    candidate_count(z); boundary's first hits are the orbits on the
     midlines and diagonals, lemma3's those on the rows and columns at its
     side values, filters.lemma3_sides(z) (off boundary's lines when
-    boundary is enabled); parity's are whatever neither line count nor the
-    visit holds.  A row becomes one byte per pair (see _walk_rows), with a
-    bit for each filter that rules the pair out and one for a skipped pair:
-    one not primitive or on a counted line.  The lowest set bit is the
-    first hit, so the counts equal those of run_pipeline on each candidate.
-    Where no row is visited, no per-z table is built.  Only survivors
-    become Candidates with verdicts, and a survivor's enabled filters read
-    UNDECIDED without a call; no witness is built for an eliminated one.
+    boundary is enabled), both from model.line_orbits in closed form;
+    parity's are whatever neither line count nor the visit holds.  A row
+    becomes one byte per pair (see _walk_rows), with a bit for each filter
+    that rules the pair out and one for a skipped pair: one not primitive
+    or on a counted line.  The walk and the counts read the same lines.
+    The lowest set bit is the first hit, so the counts equal those of
+    run_pipeline on each candidate.  Where no row is visited, no per-z
+    table is built.  Only survivors become Candidates with verdicts, and a
+    survivor's enabled filters read UNDECIDED without a call; no witness
+    is built for an eliminated one.
     """
     if mode != FIRST_HIT:
         raise ValueError(f"unknown pipeline mode {mode!r}")
@@ -345,29 +336,30 @@ def sieve_z(z: int, cfg: FilterConfig | None = None, mode: str = FIRST_HIT) -> S
         BIT[fid] if fid in enabled else 0
         for fid in (FilterId.BOUNDARY, FilterId.LEMMA3, FilterId.PARITY_RESIDUE)
     )
-    on_boundary = _on_lines(z, itertools.chain(
-        ((t, t) for t in range(1, z // 2 + 1)),
-        ((z - t, t) for t in range(1, z // 2 + 1)),
-        _rows_and_columns(z, [z // 2] if z % 2 == 0 else []),
-    )) if boundary else set()
-    on_lemma3 = (_on_lines(z, _rows_and_columns(z, lemma3_sides(z))) - on_boundary
-                 if lemma3 else set())
+    # the counted lines: boundary's diagonals and midlines, then the rows
+    # and columns at lemma3's side values
+    midlines = {z // 2} if boundary and z % 2 == 0 else set()
+    sides = midlines | lemma3_sides(z) if lemma3 else midlines
+    diagonals = bool(boundary)
+    on_boundary = line_orbits(z, midlines, diagonals)
+    on_lines = line_orbits(z, sides, diagonals)
     codes, found = _walk_rows(
-        z, parity_rows(z) if parity else canonical_rows(z), enabled, on_boundary | on_lemma3,
+        z, parity_rows(z) if parity else canonical_rows(z), enabled, sides, diagonals,
     ) if not parity or z % 12 == 0 else (b"", [])
     counts = [0] * (1 << len(FilterId))  # indexed by the first hit's bit
     for code, fid in enumerate(_ROW_FILTERS, start=2):
         counts[BIT[fid]] = codes.count(code)
     total = candidate_count(z)
-    counts[boundary] += len(on_boundary)
-    counts[lemma3] += len(on_lemma3)
+    counts[boundary] += on_boundary
+    counts[lemma3] += on_lines - on_boundary
     # 0 with parity disabled: then every candidate is visited; the walked
     # primitive pairs on no counted line are the codes other than 1
-    counts[parity] += total - len(on_boundary) - len(on_lemma3) - (len(codes) - codes.count(1))
+    counts[parity] += total - on_lines - (len(codes) - codes.count(1))
     # a survivor passed every enabled filter: only the disabled ones need a call
+    partial = len(enabled) < len(FilterId)
     survivors = [
-        Survivor(c, full_attribution(c, enabled) if len(enabled) < len(FilterId)
-                 else ALL_UNDECIDED, distance_profile(c))
+        _new(Survivor, (c, full_attribution(c, enabled) if partial else ALL_UNDECIDED,
+                        distance_profile(c)))
         for c in found
     ]
     max_count = max((s.profile.integer_count for s in survivors), default=None)

@@ -312,6 +312,52 @@ def test_recheck_reads_malformed_witnesses_as_false():
         assert recheck_witness(c, fid, witness) is False, (fid, witness)
 
 
+@pytest.mark.parametrize("c, fid, witness", [
+    (Candidate(7, 24, 52), FilterId.THEOREM2,
+     {"kind": "congruence", "p": 2, "corner": "A", "legs": [7, 24]}),
+    (Candidate(8, 3, 60), FilterId.THEOREM4,
+     {"kind": "prime_power", "side": "x", "p": 2, "e": 3}),
+])
+def test_recheck_reads_even_p_as_false(c, fid, witness):
+    # 2 is prime, but no Jacobi symbol (2/2) exists: a malformed witness,
+    # not an exception
+    assert recheck_witness(c, fid, witness) is False
+
+
+# (candidate, filter, field, value): value equals the field of the filter's
+# own witness at the candidate, but is a float or a bool, not an int
+NON_INT_FIELDS = [
+    (Candidate(1, 4, 12), FilterId.LEMMA3, "d", 4.0),
+    (Candidate(1, 4, 12), FilterId.LEMMA3, "n", 3.0),
+    (Candidate(5, 8, 96), FilterId.PARITY_RESIDUE, "legs", [5.0, 8]),
+    (Candidate(5, 8, 96), FilterId.PARITY_RESIDUE, "legs", [5, 8.0]),
+    (Candidate(27, 2, 60), FilterId.PARITY_RESIDUE, "value", 2.0),
+    (Candidate(8, 3, 60), FilterId.THEOREM1, "lhs", 9.0),
+    (Candidate(8, 3, 60), FilterId.THEOREM1, "rhs", 17.0),
+    (Candidate(8, 3, 60), FilterId.THEOREM2, "p", 5.0),
+    (Candidate(8, 3, 60), FilterId.THEOREM2, "legs", [8, 3.0]),
+    (Candidate(7, 2, 60), FilterId.THEOREM3, "value", 7.0),
+    (Candidate(27, 2, 60), FilterId.THEOREM4, "p", 3.0),
+    (Candidate(27, 2, 60), FilterId.THEOREM4, "e", 3.0),
+    (Candidate(3, 2, 60), FilterId.THEOREM4, "e", True),
+    (Candidate(1, 24, 60), FilterId.THEOREM5, "value", 24.0),
+    (Candidate(1, 24, 60), FilterId.THEOREM5, "m", 3.0),
+    (Candidate(15, 2, 64), FilterId.COROLLARY52, "value", 15.0),
+    (Candidate(15, 2, 64), FilterId.COROLLARY52, "q1", 5.0),
+    (Candidate(15, 2, 64), FilterId.COROLLARY52, "m", True),
+    (Candidate(15, 4, 48), FilterId.THEOREM6, "p1", 5.0),
+    (Candidate(15, 4, 48), FilterId.THEOREM6, "q2", 3.0),
+]
+
+
+@pytest.mark.parametrize("c, fid, field, value", NON_INT_FIELDS)
+def test_recheck_reads_non_int_fields_as_false(c, fid, field, value):
+    witness = dict(full_attribution(c).entries)[fid].witness
+    assert recheck_witness(c, fid, witness), (c, fid)
+    assert witness[field] == value  # the same number, of another type
+    assert recheck_witness(c, fid, {**witness, field: value}) is False
+
+
 def test_recheck_refuses_huge_exponents_in_bounded_time():
     # a valid witness bounds e and h by the side value's bit length, so a
     # forged one is refused before p**e or 1 << (h + 1) is built

@@ -12,7 +12,6 @@ from squarepoint.model import (
     canonicalize,
     corner_legs,
     distance_profile,
-    is_canonical,
     is_primitive_interior,
     orbit,
 )
@@ -145,12 +144,3 @@ def test_canonical_interior_pairs_matches_orbit_partition():
         assert len(got) == len(set(got)), z
         assert set(got) == expected, z
         assert got == sorted(got), z
-
-
-def test_is_canonical_matches_canonical_interior_pairs():
-    # the whole grid and one step beyond each edge
-    for z in range(1, 80):
-        pairs = set(canonical_interior_pairs(z))
-        for x in range(-1, z + 2):
-            for y in range(-1, z + 2):
-                assert is_canonical(x, y, z) == ((x, y) in pairs), (x, y, z)

@@ -1,6 +1,7 @@
 """Unavailable-value lists and the three serialization formats."""
 
 import copy
+import enum
 import json
 import math
 import pickle
@@ -162,25 +163,47 @@ def _write(tree) -> str:
     return "".join(out)
 
 
+class _Level(enum.IntEnum):
+    LOW = -3
+    HIGH = 2**70
+
+
+class _Str(str):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
 # quote, backslash, control and non-ASCII characters, besides any text
 _json_strings = st.text() | st.text(
     st.sampled_from('a"\\/\n\t\x00\x1f\x7f\xe9\u20ac\U0001f600')
 )
+# subclasses of the JSON types miss the writer's exact-type branches
+_json_keys = _json_strings | _json_strings.map(_Str)
 _json_scalars = (
     st.none()
     | st.booleans()
     | st.integers()
     | st.integers(min_value=2**64).flatmap(lambda n: st.sampled_from([n, -n]))
+    | st.sampled_from(_Level)
     | st.floats()
     | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
-    | _json_strings
+    | _json_keys
 )
 _json_trees = st.recursive(
     _json_scalars,
     lambda inner: (
         st.lists(inner, max_size=4)
         | st.lists(inner, max_size=4).map(tuple)
-        | st.dictionaries(_json_strings, inner, max_size=4)
+        | st.lists(inner, max_size=4).map(_List)
+        | st.dictionaries(_json_keys, inner, max_size=4)
+        | st.dictionaries(_json_keys, inner, max_size=4).map(_Dict)
     ),
     max_leaves=30,
 )
@@ -231,24 +254,62 @@ EDITS = [
 ]
 
 
+# every way to change a list in place
+_EDITED = {"filter": "edited", "eliminated": True, "witness": None}
+LIST_EDITS = [
+    lambda a: a.append(_EDITED),
+    lambda a: a.__setitem__(0, _EDITED),
+    lambda a: a.__setitem__(slice(0, 2), [_EDITED]),
+    lambda a: a.extend([_EDITED]),
+    lambda a: a.insert(0, _EDITED),
+    lambda a: a.sort(key=id),
+    lambda a: a.reverse(),
+    lambda a: a.__iadd__([_EDITED]),
+    lambda a: a.__imul__(2),
+    lambda a: a.__delitem__(0),
+    lambda a: a.pop(),
+    lambda a: a.remove(a[0]),
+    lambda a: a.clear(),
+]
+
+
 def test_edit_of_one_tree_reaches_no_other():
     tree = report.sieve_result_to_dict(sieve_z(240))
-    entry = tree["survivors"][0]["attribution"][0]
+    attribution = tree["survivors"][0]["attribution"]
+    # every survivor at z = 240 passed every filter: they share one list
+    assert all(s["attribution"] is attribution for s in tree["survivors"])
+    entry = attribution[0]
     for edit in EDITS:
         try:
             edit(entry)
         except TypeError:
             pass  # refusing the edit is one way to keep it local
+    for edit in LIST_EDITS:
+        try:
+            edit(attribution)
+        except TypeError:
+            pass
+    try:
+        tree["survivors"][1]["attribution"] += [_EDITED]
+    except TypeError:
+        pass
     result = sieve_z(228)
     fresh = report.sieve_result_to_dict(result)
     assert len(fresh["survivors"]) == 14
+    undecided = [{"filter": fid.value, "eliminated": False, "witness": None} for fid in FilterId]
     for s in fresh["survivors"]:
-        assert s["attribution"][0] == {"filter": "boundary", "eliminated": False, "witness": None}
+        assert s["attribution"] == undecided
     assert serialize(result, "json") == (json.dumps(fresh, indent=2) + "\n").encode("utf-8")
     # a copy of a tree is the caller's own to change
     copied = copy.deepcopy(fresh)
     copied["survivors"][0]["attribution"][0]["witness"] = {"kind": "edited"}
+    copied["survivors"][1]["attribution"].append(_EDITED)
     assert serialize(result, "json") == (json.dumps(fresh, indent=2) + "\n").encode("utf-8")
+    # so is a copy of the shared list, down to its entries
+    shared = fresh["survivors"][0]["attribution"]
+    for copied in (copy.deepcopy(shared), pickle.loads(pickle.dumps(shared))):
+        assert type(copied) is list and copied == undecided
+        assert all(type(e) is dict for e in copied)
 
 
 def test_shared_witness_refuses_every_edit():

@@ -2,17 +2,20 @@
 
 import itertools
 import multiprocessing
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from squarepoint import search
-from squarepoint.filters import FilterConfig, FilterId
+from squarepoint.filters import FilterConfig, FilterId, lemma3_sides
 from squarepoint.model import (
     Candidate,
     candidate_count,
+    canonical_rows,
     canonicalize,
     distance_profile,
+    line_orbits,
     orbit,
 )
 from squarepoint.search import (
@@ -187,6 +190,78 @@ def test_sieve_matches_run_pipeline():
 def test_sieve_matches_run_pipeline_for_any_config(enabled, z):
     # configs of 3 to 8 filters, which the families above never build
     assert sieve_matches_reference(z, FilterConfig(enabled))
+
+
+def _on_lines(z, points):
+    """The primitive canonical interior pairs among points, materialized."""
+    rows = {}
+    for x, ys in canonical_rows(z):
+        rows.setdefault(x, []).append(ys)
+    return {(x, y) for x, y in points
+            if gcd(x, y, z) == 1 and any(y in ys for ys in rows.get(x, ()))}
+
+
+def _rows_and_columns(z, values):
+    """The interior points with x or y in values, 2y <= z, and 2x <= z if z
+    is even: the bounds of every canonical pair."""
+    x_max = z // 2 if z % 2 == 0 else z - 1
+    for v in values:
+        if v <= x_max:
+            for t in range(1, z // 2 + 1):
+                yield v, t
+        if 2 * v <= z:
+            for t in range(1, x_max + 1):
+                yield t, v
+
+
+def _line_sets(z, sides, boundary):
+    """The sieve's two line counts as point sets: boundary's diagonal and
+    midline points, and the points at sides off them."""
+    on_boundary = _on_lines(z, itertools.chain(
+        ((t, t) for t in range(1, z // 2 + 1)),
+        ((z - t, t) for t in range(1, z // 2 + 1)),
+        _rows_and_columns(z, [z // 2] if z % 2 == 0 else []),
+    )) if boundary else set()
+    return on_boundary, _on_lines(z, _rows_and_columns(z, sides)) - on_boundary
+
+
+def _closed_form_counts(z, sides, boundary):
+    """The two line counts as sieve_z takes them from line_orbits."""
+    midlines = {z // 2} if boundary and z % 2 == 0 else set()
+    on_boundary = line_orbits(z, midlines, boundary)
+    return on_boundary, line_orbits(z, midlines | sides, boundary) - on_boundary
+
+
+@st.composite
+def _closed_sides(draw):
+    """(z, a set of side values closed under v -> z - v, boundary on or off)."""
+    z = draw(st.integers(2, 200))
+    picked = draw(st.sets(st.integers(1, z // 2)))
+    return z, {v for t in picked for v in (t, z - t)}, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_closed_sides())
+@example((2, set(), True))
+@example((2, {1}, False))
+@example((2, {1}, True))
+@example((12, {6}, False))  # z/2 in the sides, which lemma3's never hold
+@example((12, {6}, True))
+@example((60, {6, 30, 54}, True))
+def test_line_counts_match_materialized_sets(case):
+    z, sides, boundary = case
+    expected = tuple(map(len, _line_sets(z, sides, boundary)))
+    assert _closed_form_counts(z, sides, boundary) == expected
+
+
+def test_line_counts_match_materialized_sets_on_lemma3_sides():
+    for z in range(1, 901):
+        sides = lemma3_sides(z)
+        # n = 2 gives n*n + 4 = 8, not prime, so z/2 is never a lemma3 side
+        assert z % 2 or z // 2 not in sides, z
+        for boundary in (False, True):
+            expected = tuple(map(len, _line_sets(z, sides, boundary)))
+            assert _closed_form_counts(z, sides, boundary) == expected, (z, boundary)
 
 
 def test_sieve_counts_add_up():
