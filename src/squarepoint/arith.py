@@ -10,6 +10,7 @@ this package ever touches.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt as _floor_sqrt
 from typing import NamedTuple
 
@@ -204,15 +205,20 @@ def prime_power_root(n: int) -> tuple[int, int] | None:
     return None
 
 
-def _primes_upto(bound: int) -> list[int]:
-    if bound < 2:
-        return []
+def prime_flags(bound: int) -> bytearray:
+    """Entry i, for i in 0..bound, is 1 iff i is prime: a sieve of
+    Eratosthenes, for bound >= 0."""
     sieve = bytearray([1]) * (bound + 1)
-    sieve[0] = sieve[1] = 0
+    sieve[:2] = bytes(min(bound + 1, 2))
     for i in range(2, _floor_sqrt(bound) + 1):
         if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i in range(2, bound + 1) if sieve[i]]
+            sieve[i * i :: i] = bytes(len(range(i * i, bound + 1, i)))
+    return sieve
+
+
+def _primes_upto(bound: int) -> list[int]:
+    """The primes p <= bound, ascending."""
+    return list(compress(range(bound + 1), prime_flags(bound))) if bound >= 2 else []
 
 
 @lru_cache(maxsize=64)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, islice
 from math import gcd, isqrt
 from typing import Callable, Iterator, NamedTuple
 
@@ -21,6 +22,7 @@ from .arith import (
     factorize,
     is_prime,
     jacobi,
+    prime_flags,
     prime_power_root,
     two_nonresidue_primes,
 )
@@ -245,9 +247,11 @@ def theorem1_y_bounds(x: int, z: int) -> tuple[int, int]:
     y*y <= 2M and m*m <= 2(z - y), which hold for every y up to lo, and
     m*m <= 2y and (z - y)**2 <= 2M, which hold for every y from hi on.
     """
-    m = min(x, z - x)
+    # conditional expressions, not min and max: the sieve calls this per row
+    m = x if 2 * x <= z else z - x
     big = isqrt(2 * (z - m))
-    return max(big, (2 * z - m * m) // 2), min(-(-m * m // 2), z - big)
+    lo, hi = (2 * z - m * m) // 2, -(-m * m // 2)
+    return (lo if lo > big else big), (hi if hi < z - big else z - big)
 
 
 def filter_theorem1(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
@@ -473,9 +477,90 @@ ONE_AXIS: dict[FilterId, tuple[str, Callable[[int], object]]] = {
     FilterId.THEOREM6: ("x", odd_semiprime),
 }
 
-# Per ONE_AXIS filter: entry v is 1 iff v passes its test, for v up to the
-# largest z seen in this process.  A longer table replaces the stored one, so
-# a reader never sees a part still being filled.
+def _odd_primes(n: int) -> bytearray:
+    """theorem3: the odd primes, from one sieve."""
+    passes = prime_flags(n)
+    if n >= 2:
+        passes[2] = 0
+    return passes
+
+
+def _nonresidue_prime_powers(n: int) -> bytearray:
+    """theorem4: p**e for each p in NONRESIDUE_PRIMES and e >= 1."""
+    passes = bytearray(n + 1)
+    for p in NONRESIDUE_PRIMES:
+        q = p
+        while q <= n:
+            passes[q] = 1
+            q *= p
+    return passes
+
+
+def _shape5_values(n: int) -> bytearray:
+    """theorem5: 2**(h+1) * m for h >= 1 and odd m < 2**h free of primes
+    = 7 (mod 8)."""
+    # m < 2**h and 2**(h+1) * m <= n give 2*m*m < n
+    bound = isqrt(n)
+    allowed = bytearray([1]) * (bound + 1)
+    for p in compress(range(bound + 1), prime_flags(bound)):
+        if not shape5_prime_allowed(p):
+            allowed[p::p] = bytes(len(range(p, bound + 1, p)))
+    passes = bytearray(n + 1)
+    base = 4  # 2**(h+1), from h = 1
+    while base <= n:
+        # base * m for the odd m in 1..top; each h writes its own values
+        top = min(base // 2 - 1, n // base)
+        passes[base:base * (top + 1):2 * base] = allowed[1:top + 1:2]
+        base *= 2
+    return passes
+
+
+def _split_pairs(qs: list[int], n: int) -> Iterator[tuple[int, int]]:
+    """(q1, q2) from the ascending qs with q1 > q2 and q1 * q2 <= n."""
+    for i, q2 in enumerate(qs):
+        if q2 * q2 >= n:  # then q1 * q2 > n for every q1 > q2
+            return
+        for q1 in islice(qs, i + 1, None):
+            if q1 * q2 > n:
+                break
+            yield q1, q2
+
+
+def _cor52_values(n: int) -> bytearray:
+    """corollary52: q1 * q2 with q1 > q2 both = 3 or 5 (mod 8), composites
+    too, and (q1**2 - q2**2) / 2 of the theorem5 shape."""
+    passes = bytearray(n + 1)
+    # (2/q) = -1 exactly for the odd q = 3 or 5 (mod 8), as (2/q) depends
+    # only on q mod 8
+    moduli = [q for q in range(3, n // 3 + 1, 2) if q % 8 in (3, 5)]
+    for q1, q2 in _split_pairs(moduli, n):
+        if not passes[q1 * q2] and theorem5_shape((q1 * q1 - q2 * q2) // 2) is not None:
+            passes[q1 * q2] = 1
+    return passes
+
+
+def _nonresidue_semiprimes(n: int) -> bytearray:
+    """theorem6: the products of two distinct primes = 3 or 5 (mod 8)."""
+    passes = bytearray(n + 1)
+    primes = [p for p in compress(range(n // 3 + 1), prime_flags(n // 3)) if p % 8 in (3, 5)]
+    for p, q in _split_pairs(primes, n):
+        passes[p * q] = 1
+    return passes
+
+
+# Per ONE_AXIS filter: the values 0..n that pass its test, as n + 1 bytes of
+# 0 or 1, listed from the condition itself rather than by testing each value.
+_ENUMERATIONS: dict[FilterId, Callable[[int], bytearray]] = {
+    FilterId.THEOREM3: _odd_primes,
+    FilterId.THEOREM4: _nonresidue_prime_powers,
+    FilterId.THEOREM5: _shape5_values,
+    FilterId.COROLLARY52: _cor52_values,
+    FilterId.THEOREM6: _nonresidue_semiprimes,
+}
+
+# Per ONE_AXIS filter: its enumeration up to the largest z seen in this
+# process, or further.  A longer table replaces the stored one, so a reader
+# never sees a part still being filled.
 _PASSES: dict[FilterId, bytes] = {}
 
 
@@ -484,8 +569,8 @@ def ruled_values(z: int, fid: FilterId) -> bytes:
     the side value v at side z."""
     passed = _PASSES.get(fid, b"")
     if len(passed) <= z:
-        test = ONE_AXIS[fid][1]
-        passed += bytes(bool(test(v)) for v in range(len(passed), z + 1))
+        # at least doubled, so an ascending sweep of z fills O(log z) times
+        passed = bytes(_ENUMERATIONS[fid](max(z, 2 * len(passed))))
         _PASSES[fid] = passed
     # read big-endian, the entries 0..z give v the entry of z - v
     window = passed[:z + 1]
@@ -546,15 +631,20 @@ def recheck_witness(c: Candidate, fid: FilterId, witness: dict) -> bool:
 
     Independent of the filter implementations: uses only arithmetic
     primitives, and the literal (not the fast) prime condition for the
-    power-of-two shapes.  Witnesses may come from outside JSON, so an fid
-    that is not a FilterId, a kind that is not fid's, an unknown corner,
-    side or target, and a field that is missing or of the wrong type all
-    read False.  A number the check reads must be an int: a float or a
-    bool that equals the right value reads False too, as does an even p,
-    for which no Jacobi symbol (2/p) exists.
+    power-of-two shapes.  Witnesses may come from outside JSON, so a
+    witness that is not a dict, an fid that is not a FilterId, a kind that
+    is not fid's, an unknown corner, side, target or leg, and a field that
+    is missing or of the wrong type all read False.  A number the check
+    reads must be an int: a float or a bool that equals the right value
+    reads False too, as does an even p, for which no Jacobi symbol (2/p)
+    exists.
     """
     kind, check = _RECHECKS.get(fid, (None, None))
-    if kind is None or witness.get("kind") != kind:
+    try:
+        cited = witness.get("kind")
+    except AttributeError:  # not a dict
+        return False
+    if kind is None or cited != kind:
         return False
     try:
         return check(c, witness)
@@ -572,13 +662,12 @@ def _recheck_boundary(c: Candidate, witness: dict) -> bool:
 
 
 def _recheck_lemma3(c: Candidate, witness: dict) -> bool:
-    x, y, z = c
     d, n = witness["d"], witness["n"]
     return (
         type(d) is int and type(n) is int
-        and d in (x, y, z - x, z - y)
+        and _side_value(c, witness["side"]) == d
         and d >= 1
-        and n * d == z
+        and n * d == c.z
         and is_prime(n)
         and is_prime(n * n + 4)
     )
@@ -601,8 +690,15 @@ def _recheck_parity(c: Candidate, witness: dict) -> bool:
 
 
 def _recheck_theorem1(c: Candidate, witness: dict) -> bool:
-    a, b = _legs_at(c, witness["corner"])
-    val, other = (a, b) if witness["leg"] in ("x", "z-x") else (b, a)
+    corner, leg = witness["corner"], witness["leg"]
+    a, b = _legs_at(c, corner)
+    first, second = _CORNER_LEG_NAMES[corner]
+    if leg == first:
+        val, other = a, b
+    elif leg == second:
+        val, other = b, a
+    else:
+        return False
     lhs, rhs = witness["lhs"], witness["rhs"]
     return (
         type(lhs) is int and type(rhs) is int
@@ -703,12 +799,19 @@ def _cites_legs(witness: dict, a: int, b: int) -> bool:
     return legs == [a, b] and type(legs[0]) is type(legs[1]) is int
 
 
+# side name -> (index of its coordinate in the candidate, whether the side
+# is z less that coordinate)
+_SIDES = {"x": (0, False), "y": (1, False), "z-x": (0, True), "z-y": (1, True)}
+
+
 def _side_value(c: Candidate, side: str) -> int:
     """The side value named side; KeyError for an unknown name."""
-    return {"x": c.x, "y": c.y, "z-x": c.z - c.x, "z-y": c.z - c.y}[side]
+    i, reflected = _SIDES[side]
+    return c[2] - c[i] if reflected else c[i]
 
 
 _PAIRED_CORNER = {"A": "C", "C": "A", "B": "D", "D": "B"}
+_CORNER_LEG_NAMES = dict(zip(CORNERS, _LEG_NAMES))
 
 
 def _legs_at(c: Candidate, corner: str) -> tuple[int, int]:

@@ -61,7 +61,9 @@ _new = tuple.__new__
 
 def distance_profile(c: Candidate) -> DistanceProfile:
     """Exact squared distances to the four corners, with roots where square."""
-    squared = tuple([a * a + b * b for a, b in corner_legs(c)])
+    (x, y), (_, v), (u, _), _ = corner_legs(c)
+    xx, yy, uu, vv = x * x, y * y, u * u, v * v
+    squared = (xx + yy, xx + vv, uu + vv, uu + yy)
     roots = []
     for s in squared:
         r = isqrt(s)
@@ -78,7 +80,7 @@ def orbit(c: Candidate) -> set[Candidate]:
         for b in (y, z - y):
             pts.add((a, b))
             pts.add((b, a))
-    return {Candidate(a, b, z) for a, b in pts}
+    return {_new(Candidate, (a, b, z)) for a, b in pts}
 
 
 def canonicalize(c: Candidate) -> Candidate:

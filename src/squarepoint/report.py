@@ -409,7 +409,8 @@ def _write_json(o, out: list[str], nl: str) -> None:
     per nl and its text reused.  An object of exactly int, dict, str or
     list, the types a payload holds most, takes its branch at once; any
     other is looked up as a shared object, then by the JSON type it is an
-    instance of.
+    instance of.  Inside a dict or a list, an exact int or None is written
+    in the loop, without a call.
     """
     t = type(o)
     if t is not int and t is not dict and t is not str and t is not list:
@@ -430,8 +431,13 @@ def _write_json(o, out: list[str], nl: str) -> None:
         for k, v in o.items():
             if not isinstance(k, str):
                 raise TypeError(f"JSON keys must be str, not {type(k).__name__}")
-            out.append(sep + _escape(k) + ": ")
-            _write_json(v, out, inner)
+            if type(v) is int:
+                out.append(sep + _escape(k) + ": " + int.__repr__(v))
+            elif v is None:
+                out.append(sep + _escape(k) + ": null")
+            else:
+                out.append(sep + _escape(k) + ": ")
+                _write_json(v, out, inner)
             sep = "," + inner
         out.append(nl + "}" if o else "{}")
     elif t is str:
@@ -440,8 +446,13 @@ def _write_json(o, out: list[str], nl: str) -> None:
         inner = nl + "  "
         sep = "[" + inner
         for v in o:
-            out.append(sep)
-            _write_json(v, out, inner)
+            if type(v) is int:
+                out.append(sep + int.__repr__(v))
+            elif v is None:
+                out.append(sep + "null")
+            else:
+                out.append(sep)
+                _write_json(v, out, inner)
             sep = "," + inner
         out.append(nl + "]" if o else "[]")
     elif t is bool:

@@ -235,11 +235,6 @@ _ROW_FILTERS = tuple(FilterId)[3:]
 _ROW_CODE = bytes((b & -b).bit_length() for b in range(256))
 
 
-def _ones(n: int) -> int:
-    """The row of n bytes with bit 0 set in each, as a little-endian int."""
-    return (1 << 8 * n) // 255
-
-
 def _walk_rows(
     z: int,
     rows: Iterator[tuple[int, range]],
@@ -271,25 +266,35 @@ def _walk_rows(
     marks = theorem2_marks(z) if theorem2 else b""
     # (p, entry y is 1 iff p divides y) for the primes p of z
     multiples = [(p, (b"\x01" + bytes(p - 1)) * (z // p + 1)) for p, _ in factorize(z)]
+    # ones[n] is the row of n bytes with bit 0 set in each; a row steps by 2
+    # or more through y in 1..z // 2, so none is longer than z // 4 + 1
+    ones = [0]
+    for _ in range(z // 4 + 1):
+        ones.append(ones[-1] << 8 | 1)
     out = []
     survivors = []
     for x, ys in rows:
         start, stop, step = ys.start, ys.stop, ys.step
         n = len(ys)
-        ones = _ones(n)
-        flags = int.from_bytes(y_bits[start:stop:step], "little") | x_bits[x] * ones
+        full = ones[n]
+        flags = int.from_bytes(y_bits[start:stop:step], "little") | x_bits[x] * full
         if theorem1:
             lo, hi = theorem1_y_bounds(x, z)
-            prefix = _ones(len(range(start, min(stop, lo + 1), step)))
-            suffix = ones - _ones(len(range(start, min(stop, hi), step)))
-            flags |= (prefix | suffix) * theorem1
+            # the ys up to lo and the ys below hi, counted and clipped to
+            # 0..n by conditional expressions (min and max cost more)
+            upto_lo = (lo - start) // step + 1
+            upto_lo = 0 if upto_lo < 0 else n if upto_lo > n else upto_lo
+            below_hi = (hi - 1 - start) // step + 1
+            below_hi = 0 if below_hi < 0 else n if below_hi > n else below_hi
+            flags |= (ones[upto_lo] | full - ones[below_hi]) * theorem1
         if theorem2:
             flags |= (int.from_bytes(marks[start - x + z:stop - x + z:step], "little")
                       | int.from_bytes(marks[start + x:stop + x:step], "little")
                       ) * theorem2
-        for p, table in multiples:
-            if x % p == 0:
-                flags |= int.from_bytes(table[start:stop:step], "little")
+        if gcd(x, z) > 1:
+            for p, table in multiples:
+                if x % p == 0:
+                    flags |= int.from_bytes(table[start:stop:step], "little")
         if diagonals:
             for y in (x, z - x):
                 if y in ys:

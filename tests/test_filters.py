@@ -358,6 +358,34 @@ def test_recheck_reads_non_int_fields_as_false(c, fid, field, value):
     assert recheck_witness(c, fid, {**witness, field: value}) is False
 
 
+@pytest.mark.parametrize("witness", [None, [], "x", 5])
+@pytest.mark.parametrize("fid", list(FilterId))
+def test_recheck_reads_non_dict_witness_as_false(fid, witness):
+    assert recheck_witness(Candidate(1, 4, 12), fid, witness) is False
+
+
+def test_recheck_lemma3_reads_the_cited_side():
+    # at (1, 4, 12) the lemma3 side is y = 4 = 12 / 3; x = 1, z - x = 11
+    # and z - y = 8 are other sides, and "bogus" names none
+    c = Candidate(1, 4, 12)
+    witness = {"kind": "lemma3", "side": "y", "d": 4, "n": 3}
+    assert filter_lemma3(c).witness == witness
+    assert recheck_witness(c, FilterId.LEMMA3, witness)
+    for side in ("bogus", "x", "z-x", "z-y", None, ["y"]):
+        assert recheck_witness(c, FilterId.LEMMA3, {**witness, "side": side}) is False, side
+
+
+def test_recheck_theorem1_takes_a_leg_of_the_cited_corner():
+    # at (2, 1, 5) corner A has legs x = 2 and y = 1, and 1 * 1 < 2 * 2 + 1;
+    # "z-y" and "z-x" are legs of other corners, and "bogus" names none
+    c = Candidate(2, 1, 5)
+    witness = {"kind": "inequality", "corner": "A", "leg": "y", "lhs": 1, "rhs": 5}
+    assert filter_theorem1(c).witness == witness
+    assert recheck_witness(c, FilterId.THEOREM1, witness)
+    for leg in ("bogus", "z-y", "z-x", "x", None, ["y"]):
+        assert recheck_witness(c, FilterId.THEOREM1, {**witness, "leg": leg}) is False, leg
+
+
 def test_recheck_refuses_huge_exponents_in_bounded_time():
     # a valid witness bounds e and h by the side value's bit length, so a
     # forged one is refused before p**e or 1 << (h + 1) is built
@@ -484,17 +512,45 @@ def _reference_ruled_values(z, fid):
 
 def test_ruled_values_match_reference_in_any_call_order(monkeypatch):
     # the value tables grow with the largest z asked so far: from empty
-    # tables, descending order fills them at once and shuffled order makes
-    # them grow between reads
+    # tables, ascending order (the hunt's) refills them each time z passes
+    # their length, descending order fills them at once and shuffled order
+    # makes them grow between reads
     assert len(ONE_AXIS) == 5
     zs = list(range(1, 301))
     rng = random.Random(13)
     shuffled = rng.sample(zs, len(zs))
-    for order in (zs[::-1], shuffled):
+    for order in (zs, zs[::-1], shuffled):
         monkeypatch.setattr(filters, "_PASSES", {})
         for z in order:
             for fid in ONE_AXIS:
                 assert ruled_values(z, fid) == _reference_ruled_values(z, fid), (z, fid)
+
+
+# Table lengths at the edges of the enumerations: every n up to 64, then the
+# powers of 2 (theorem5's 2**(h+1)), of 3 and 5 (theorem4's p**e) and the
+# squares (theorem5's and corollary52's square-root bounds) each with its
+# neighbours, and n = 3 * q for q = 3 or 5 (mod 8) (the bound n // 3 on a
+# factor of corollary52 and theorem6).
+ENUMERATION_BOUND = 20_000
+EDGE_LENGTHS = sorted({
+    n + d
+    for n in [*range(65), *(2**k for k in range(15)), *(3**k for k in range(10)),
+              *(5**k for k in range(7)), *(k * k for k in range(142)),
+              *(3 * q for q in (3, 5, 11, 13, 19, 6659, 6661))]
+    for d in (-1, 0, 1)
+    if 0 <= n + d <= ENUMERATION_BOUND
+} | {ENUMERATION_BOUND})
+
+
+@pytest.mark.parametrize("fid", list(ONE_AXIS))
+def test_enumerated_tables_match_per_value_tests(fid):
+    # each table is listed from its condition's structure; its per-value
+    # test, the filter's definition, is applied here to every v
+    test = ONE_AXIS[fid][1]
+    reference = bytes(bool(test(v)) for v in range(ENUMERATION_BOUND + 1))
+    fill = filters._ENUMERATIONS[fid]
+    for n in EDGE_LENGTHS:
+        assert fill(n) == reference[:n + 1], (fid, n)
 
 
 def test_lemma3_sides_match_filter_lemma3():
