@@ -12,11 +12,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .filters import FilterConfig, FilterId
-from .model import Candidate
+# Every import at the top lands on every call, so the library calls go
+# through the lazy package: it imports a module on first use of its names.
+import squarepoint as lib
+
+from .model import DEFAULT_BUDGET, Candidate
 from .report import FORMATS, serialize, unavailable_lists
-from .search import DEFAULT_BUDGET, ScanRequest, oracle_scan, search_range, sieve_z
-from .selfcheck import SUITES
+
+# the names of selfcheck.SUITES, which a test pins to them
+_SUITE_NAMES = ("arith", "filters", "paper")
 
 
 class UsageError(Exception):
@@ -28,14 +32,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _filter_config(raw: str) -> FilterConfig:
+def _filter_config(raw: str) -> lib.FilterConfig:
     """The argparse type of --filters: comma-separated filter ids, or 'all'."""
     if raw == "all":
-        return FilterConfig()
+        return lib.FilterConfig()
     try:
-        return FilterConfig(frozenset(FilterId(name.strip()) for name in raw.split(",")))
+        ids = frozenset(lib.FilterId(name.strip()) for name in raw.split(","))
+        return lib.FilterConfig(ids)
     except ValueError:
-        valid = ",".join(f.value for f in FilterId)
+        valid = ",".join(f.value for f in lib.FilterId)
         raise argparse.ArgumentTypeError(f"unknown filter in {raw!r}; valid ids: {valid}")
 
 
@@ -89,18 +94,18 @@ def _build_parser() -> _Parser:
     add_output_flags(p)
 
     p = sub.add_parser("verify", help="run a built-in verification suite")
-    p.add_argument("--suite", choices=sorted(SUITES), required=True)
+    p.add_argument("--suite", choices=_SUITE_NAMES, required=True)
     return parser
 
 
 # the library call behind each result subcommand; it raises ValueError on
 # bad input (a Candidate's bounds are checked when serialize profiles it)
 _RESULTS = {
-    "sieve": lambda a: sieve_z(a.z, a.filters),
-    "search": lambda a: search_range(a.z_min, a.z_max, a.filters, workers=a.threads,
-                                     mod12_only=a.mod12_only, budget=a.budget),
+    "sieve": lambda a: lib.sieve_z(a.z, a.filters),
+    "search": lambda a: lib.search_range(a.z_min, a.z_max, a.filters, workers=a.threads,
+                                         mod12_only=a.mod12_only, budget=a.budget),
     "distances": lambda a: Candidate(a.x, a.y, a.z),
-    "three-distance": lambda a: oracle_scan(ScanRequest(
+    "three-distance": lambda a: lib.oracle_scan(lib.ScanRequest(
         z_min=a.z_min,
         z_max=a.z_max,
         min_count=a.min_count,
@@ -125,6 +130,8 @@ def _emit(data: bytes, out: str | None) -> None:
 
 
 def _cmd_verify(args) -> int:
+    from .selfcheck import SUITES
+
     checks = SUITES[args.suite]()
     for check in checks:
         status = "PASS" if check.ok else "FAIL"

@@ -16,6 +16,10 @@ from .arith import factorize
 
 CORNERS = ("A", "B", "C", "D")
 
+# the default cap on what one search or scan may visit: the candidates of a
+# sieve range (candidate_count per z), or the points of an oracle scan
+DEFAULT_BUDGET = 10**9
+
 
 class Candidate(NamedTuple):
     x: int

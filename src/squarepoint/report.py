@@ -2,9 +2,13 @@
 per-z lists of values the filters rule out for x and y, read from
 filters.ruled_values and filters.lemma3_sides.
 
-Output is deterministic: identical inputs give identical bytes.  JSON
-round-trips losslessly through the parse_* functions; unknown or
-inapplicable CSV cells are empty strings.
+Output is deterministic: identical inputs give identical bytes.  The JSON
+holds every field of its result, so the result can be read back from it
+exactly; unknown or inapplicable CSV cells are empty strings.
+
+The module loads only model and the standard library, so rendering one
+Candidate imports neither filters nor search: a call that needs them
+imports them once, not once per item.
 """
 
 from __future__ import annotations
@@ -13,32 +17,24 @@ import csv
 import io
 import itertools
 import json
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from functools import cache
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .filters import (
-    ALL_UNDECIDED,
-    ONE_AXIS,
-    UNDECIDED,
-    Attribution,
-    FilterId,
-    SharedDict,
-    Verdict,
-    lemma3_divisors,
-    lemma3_sides,
-    ruled_values,
-)
 from .model import CORNERS, Candidate, DistanceProfile, distance_profile
-from .search import ScanHit, ScanReport, ScanRequest, SieveResult, Survivor
+
+if TYPE_CHECKING:
+    from .filters import Attribution, FilterId, Verdict
+    from .search import ScanHit, ScanReport, SieveResult
 
 FORMATS = ("json", "csv", "text")
 
-# human labels for the text renderer, for traceability of each list
+# human labels of the source filters' ids for the text renderer, for
+# traceability of each list
 _SOURCE_LABELS = {
-    FilterId.LEMMA3: "Lemma 3",
-    FilterId.THEOREM3: "Theorem 3",
-    FilterId.THEOREM4: "Theorem 4",
-    FilterId.THEOREM5: "Theorem 5",
+    "lemma3": "Lemma 3",
+    "theorem3": "Theorem 3",
+    "theorem4": "Theorem 4",
+    "theorem5": "Theorem 5",
 }
 
 
@@ -47,8 +43,7 @@ class ValueLists(NamedTuple):
     combined: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class UnavailableLists:
+class UnavailableLists(NamedTuple):
     """Values of x and y ruled out at side z, per source filter.
 
     Each combined list holds the values 1..z-1 that the filter rules out,
@@ -69,6 +64,7 @@ class UnavailableLists:
 def unavailable_lists(z: int) -> UnavailableLists:
     if z < 2 or z % 2:
         raise ValueError("unavailable lists are defined for even z >= 2")
+    from .filters import ONE_AXIS, FilterId, lemma3_divisors, lemma3_sides, ruled_values
 
     def lists(fid: FilterId) -> ValueLists:
         combined = tuple(itertools.compress(range(1, z), ruled_values(z, fid)[1:z]))
@@ -107,21 +103,36 @@ class SharedList(list):
         return list, (list(self),)
 
 
-# Each filter's UNDECIDED entry, one object shared by every attribution that
-# holds it, and the entries of ALL_UNDECIDED, one list shared by every
-# survivor that passed every filter, so _write_json renders each once per
-# indent.
-_UNDECIDED_ENTRIES = {fid: SharedDict(_verdict_to_dict(fid, UNDECIDED)) for fid in FilterId}
-_ALL_UNDECIDED_ENTRIES = SharedList(_UNDECIDED_ENTRIES.values())
+# id of a shared entry or list -> {nl: its text}, filled by _attribution_writer
+_SHARED_TEXTS: dict[int, dict[str, str]] = {}
 
 
-def _attribution_to_list(attribution: Attribution) -> list[dict]:
-    if attribution is ALL_UNDECIDED:
-        return _ALL_UNDECIDED_ENTRIES
-    return [
-        _UNDECIDED_ENTRIES[fid] if v is UNDECIDED else _verdict_to_dict(fid, v)
-        for fid, v in attribution.entries
-    ]
+@cache
+def _attribution_writer():
+    """The function giving an Attribution's JSON entries, built once per
+    process, on the first sieve result rendered.
+
+    Each filter's UNDECIDED entry is one object shared by every attribution
+    that holds it, and the entries of ALL_UNDECIDED are one list shared by
+    every survivor that passed every filter, so _write_json renders each
+    once per indent.
+    """
+    from .filters import ALL_UNDECIDED, UNDECIDED, FilterId, SharedDict
+
+    undecided = {fid: SharedDict(_verdict_to_dict(fid, UNDECIDED)) for fid in FilterId}
+    all_undecided = SharedList(undecided.values())
+    for shared in (*undecided.values(), all_undecided):
+        _SHARED_TEXTS[id(shared)] = {}
+
+    def attribution_to_list(attribution: Attribution) -> list[dict]:
+        if attribution is ALL_UNDECIDED:
+            return all_undecided
+        return [
+            undecided[fid] if v is UNDECIDED else _verdict_to_dict(fid, v)
+            for fid, v in attribution.entries
+        ]
+
+    return attribution_to_list
 
 
 def _corners_to_dict(profile: DistanceProfile) -> dict:
@@ -155,6 +166,7 @@ def _candidate_to_dict(c: Candidate) -> dict:
 
 
 def sieve_result_to_dict(result: SieveResult) -> dict:
+    attribution_to_list = _attribution_writer()
     return {
         "z": result.z,
         "totals": {
@@ -166,7 +178,7 @@ def sieve_result_to_dict(result: SieveResult) -> dict:
             {
                 "x": s.candidate.x,
                 "y": s.candidate.y,
-                "attribution": _attribution_to_list(s.attribution),
+                "attribution": attribution_to_list(s.attribution),
             }
             for s in result.survivors
         ],
@@ -197,98 +209,20 @@ def unavailable_to_dict(lists: UnavailableLists) -> dict:
     return {
         "z": lists.z,
         "lists": {
-            fid.value: {"direct": list(vl.direct), "combined": list(vl.combined)}
+            fid: {"direct": list(vl.direct), "combined": list(vl.combined)}
             for fid, _, vl in _named_lists(lists)
         },
     }
 
 
 def _named_lists(lists: UnavailableLists):
-    """(source filter, axis, values) of each list."""
+    """(source filter id, axis, values) of each list."""
     return (
-        (FilterId.THEOREM3, "x", lists.theorem3_x),
-        (FilterId.THEOREM4, "x", lists.theorem4_x),
-        (FilterId.THEOREM5, "y", lists.theorem5_y),
-        (FilterId.LEMMA3, "y", lists.lemma3_y),
+        ("theorem3", "x", lists.theorem3_x),
+        ("theorem4", "x", lists.theorem4_x),
+        ("theorem5", "y", lists.theorem5_y),
+        ("lemma3", "y", lists.lemma3_y),
     )
-
-
-# ---------------------------------------------------------------------------
-# parsing (JSON -> result objects)
-
-
-def _load(data: bytes | str | dict) -> dict:
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    if isinstance(data, str):
-        data = json.loads(data)
-    return data
-
-
-def _attribution_from_list(entries: list[dict]) -> Attribution:
-    parsed = []
-    for entry in entries:
-        fid = FilterId(entry["filter"])
-        verdict = Verdict(fid, entry["witness"]) if entry["eliminated"] else UNDECIDED
-        parsed.append((fid, verdict))
-    return Attribution(tuple(parsed))
-
-
-def parse_sieve_result(data: bytes | str | dict) -> SieveResult:
-    obj = _load(data)
-    z = obj["z"]
-    survivors = []
-    for s in obj["survivors"]:
-        c = Candidate(s["x"], s["y"], z)
-        attribution = _attribution_from_list(s["attribution"])
-        survivors.append(Survivor(c, attribution, distance_profile(c)))
-    return SieveResult(
-        z=z,
-        candidates=obj["totals"]["candidates"],
-        eliminated=tuple(
-            (FilterId(name), n) for name, n in obj["totals"]["eliminated"].items()
-        ),
-        survivors=tuple(survivors),
-        max_count=obj["oracle"]["max_count"],
-        witnesses=tuple(_hit_from_dict(w) for w in obj["oracle"]["witnesses"]),
-    )
-
-
-def _hit_from_dict(data: dict) -> ScanHit:
-    c = Candidate(data["x"], data["y"], data["z"])
-    profile = DistanceProfile(
-        tuple(data["squared"][k] for k in CORNERS),
-        tuple(data["roots"][k] for k in CORNERS),
-    )
-    return ScanHit(c, profile, data["orbit"])
-
-
-def parse_scan_report(data: bytes | str | dict) -> ScanReport:
-    obj = _load(data)
-    return ScanReport(
-        ScanRequest(**obj["request"]),
-        tuple(_hit_from_dict(h) for h in obj["hits"]),
-    )
-
-
-def parse_unavailable_lists(data: bytes | str | dict) -> UnavailableLists:
-    obj = _load(data)
-    lists = {
-        name: ValueLists(tuple(vl["direct"]), tuple(vl["combined"]))
-        for name, vl in obj["lists"].items()
-    }
-    return UnavailableLists(
-        z=obj["z"],
-        theorem3_x=lists["theorem3"],
-        theorem4_x=lists["theorem4"],
-        theorem5_y=lists["theorem5"],
-        lemma3_y=lists["lemma3"],
-    )
-
-
-def parse_search_results(data: bytes | str) -> list[SieveResult]:
-    obj = _load(data)
-    return [parse_sieve_result(entry) for entry in obj["results"]]
 
 
 # ---------------------------------------------------------------------------
@@ -309,91 +243,102 @@ def _profile_row(c: Candidate, profile: DistanceProfile) -> tuple:
     return (c.z, c.x, c.y, profile.integer_count, "", _roots_detail(profile))
 
 
-def _csv_rows(result) -> list[tuple]:
-    if isinstance(result, Candidate):
-        return [_profile_row(result, distance_profile(result))]
-    if isinstance(result, ScanReport):
-        return [_profile_row(h.candidate, h.profile) for h in result.hits]
-    if isinstance(result, SieveResult):
-        return [
-            (result.z, s.candidate.x, s.candidate.y, "survivor", "",
-             _roots_detail(s.profile))
-            for s in result.survivors
-        ]
-    if isinstance(result, UnavailableLists):
-        return [
-            (result.z, *((v, "") if axis == "x" else ("", v)), "unavailable", fid.value,
-             "direct" if v in vl.direct else "reflected")
-            for fid, axis, vl in _named_lists(result)
-            for v in vl.combined
-        ]
-    raise TypeError(f"no CSV rendering for {type(result).__name__}")
+def _candidate_rows(c: Candidate) -> list[tuple]:
+    return [_profile_row(c, distance_profile(c))]
 
 
-def _render_csv(results) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    for result in results:
-        writer.writerows(_csv_rows(result))
-    return buf.getvalue()
+def _scan_rows(report: ScanReport) -> list[tuple]:
+    return [_profile_row(h.candidate, h.profile) for h in report.hits]
 
 
-def _render_text(result) -> str:
-    lines = []
-    if isinstance(result, Candidate):
-        profile = distance_profile(result)
-        lines.append(f"point x={result.x} y={result.y} in square of side {result.z}")
-        for corner, sq, root in zip(CORNERS, profile.squared, profile.roots):
-            note = f"{root}^2" if root is not None else "not a square"
-            lines.append(f"  {corner}: {sq} ({note})")
-        lines.append(f"  integer corner distances: {profile.integer_count}")
-    elif isinstance(result, SieveResult):
-        lines.append(f"sieve z={result.z}")
-        lines.append(f"  candidates examined: {result.candidates}")
-        for fid, n in result.eliminated:
-            if n:
-                lines.append(f"  eliminated by {fid.value}: {n}")
-        lines.append(f"  survivors: {len(result.survivors)}")
-        for s in result.survivors:
-            near = ",".join(
-                fid.value for fid, v in s.attribution.entries if v.eliminated
-            )
-            lines.append(
-                f"    x={s.candidate.x} y={s.candidate.y}"
-                f" roots {_roots_detail(s.profile)}"
-                + (f" (would fall to: {near})" if near else "")
-            )
-        if result.max_count is not None:
-            lines.append(f"  best survivor integer count: {result.max_count}")
-    elif isinstance(result, ScanReport):
-        req = result.request
+def _sieve_rows(result: SieveResult) -> list[tuple]:
+    return [
+        (result.z, s.candidate.x, s.candidate.y, "survivor", "", _roots_detail(s.profile))
+        for s in result.survivors
+    ]
+
+
+def _lists_rows(lists: UnavailableLists) -> list[tuple]:
+    return [
+        (lists.z, *((v, "") if axis == "x" else ("", v)), "unavailable", fid,
+         "direct" if v in vl.direct else "reflected")
+        for fid, axis, vl in _named_lists(lists)
+        for v in vl.combined
+    ]
+
+
+def _candidate_lines(c: Candidate) -> list[str]:
+    profile = distance_profile(c)
+    lines = [f"point x={c.x} y={c.y} in square of side {c.z}"]
+    for corner, sq, root in zip(CORNERS, profile.squared, profile.roots):
+        note = f"{root}^2" if root is not None else "not a square"
+        lines.append(f"  {corner}: {sq} ({note})")
+    lines.append(f"  integer corner distances: {profile.integer_count}")
+    return lines
+
+
+def _sieve_lines(result: SieveResult) -> list[str]:
+    lines = [f"sieve z={result.z}", f"  candidates examined: {result.candidates}"]
+    lines += [f"  eliminated by {fid.value}: {n}" for fid, n in result.eliminated if n]
+    lines.append(f"  survivors: {len(result.survivors)}")
+    for s in result.survivors:
+        near = ",".join(fid.value for fid, v in s.attribution.entries if v.eliminated)
         lines.append(
-            f"scan z={req.z_min}..{req.z_max} min_count={req.min_count}: "
-            f"{len(result.hits)} hit(s)"
+            f"    x={s.candidate.x} y={s.candidate.y}"
+            f" roots {_roots_detail(s.profile)}"
+            + (f" (would fall to: {near})" if near else "")
         )
-        for h in result.hits:
-            c = h.candidate
-            lines.append(
-                f"  z={c.z} x={c.x} y={c.y} count={h.profile.integer_count}"
-                f" roots {_roots_detail(h.profile)} orbit={h.orbit_size}"
-            )
-    elif isinstance(result, UnavailableLists):
-        lines.append(f"unavailable values at z={result.z}")
-        for fid, axis, vl in _named_lists(result):
-            label = f"{fid.value} ({_SOURCE_LABELS[fid]}), {axis}"
-            lines.append(f"  {label}, direct:   " + " ".join(map(str, vl.direct)))
-            lines.append(f"  {label}, combined: " + " ".join(map(str, vl.combined)))
-    else:
-        raise TypeError(f"no text rendering for {type(result).__name__}")
-    return "\n".join(lines) + "\n"
+    if result.max_count is not None:
+        lines.append(f"  best survivor integer count: {result.max_count}")
+    return lines
+
+
+def _scan_lines(report: ScanReport) -> list[str]:
+    req = report.request
+    lines = [f"scan z={req.z_min}..{req.z_max} min_count={req.min_count}: "
+             f"{len(report.hits)} hit(s)"]
+    for h in report.hits:
+        c = h.candidate
+        lines.append(
+            f"  z={c.z} x={c.x} y={c.y} count={h.profile.integer_count}"
+            f" roots {_roots_detail(h.profile)} orbit={h.orbit_size}"
+        )
+    return lines
+
+
+def _lists_lines(lists: UnavailableLists) -> list[str]:
+    lines = [f"unavailable values at z={lists.z}"]
+    for fid, axis, vl in _named_lists(lists):
+        label = f"{fid} ({_SOURCE_LABELS[fid]}), {axis}"
+        lines.append(f"  {label}, direct:   " + " ".join(map(str, vl.direct)))
+        lines.append(f"  {label}, combined: " + " ".join(map(str, vl.combined)))
+    return lines
+
+
+# (JSON tree, CSV rows, text lines) of each result type
+_CANDIDATE = (_candidate_to_dict, _candidate_rows, _candidate_lines)
+_LISTS = (unavailable_to_dict, _lists_rows, _lists_lines)
+_SIEVE = (sieve_result_to_dict, _sieve_rows, _sieve_lines)
+_SCAN = (scan_report_to_dict, _scan_rows, _scan_lines)
+
+
+def _renderers(result) -> tuple:
+    """The renderers of result's type; search is imported only for a result
+    that is not a Candidate or UnavailableLists."""
+    if isinstance(result, Candidate):
+        return _CANDIDATE
+    if isinstance(result, UnavailableLists):
+        return _LISTS
+    from .search import ScanReport, SieveResult
+
+    if isinstance(result, SieveResult):
+        return _SIEVE
+    if isinstance(result, ScanReport):
+        return _SCAN
+    raise TypeError(f"cannot serialize {type(result).__name__}")
 
 
 _escape = json.encoder.encode_basestring_ascii  # the C escaper where built
-# id of a shared entry or list -> {nl: its text}
-_SHARED_TEXTS: dict[int, dict[str, str]] = {
-    id(e): {} for e in (*_UNDECIDED_ENTRIES.values(), _ALL_UNDECIDED_ENTRIES)
-}
 # the types json.dumps encodes, bool before int as bool subclasses int
 _JSON_TYPES = (str, bool, int, float, list, tuple, dict, type(None))
 
@@ -470,30 +415,23 @@ def serialize(result, fmt: str = "json") -> bytes:
     UnavailableLists, or sequence of SieveResults as json, csv or text bytes."""
     if fmt not in FORMATS:
         raise ValueError(f"unsupported format {fmt!r}; expected one of {FORMATS}")
-    # a Candidate is a tuple, so it must not count as a range
+    # a Candidate and an UnavailableLists are tuples, so neither counts as a range
     is_range = isinstance(result, Sequence) and not isinstance(
-        result, (str, bytes, Candidate)
+        result, (str, bytes, Candidate, UnavailableLists)
     )
+    to_dict, rows, lines = _SIEVE if is_range else _renderers(result)
+    results = result if is_range else (result,)
     if fmt == "json":
-        if is_range:
-            payload = {"results": [sieve_result_to_dict(r) for r in result]}
-        elif isinstance(result, Candidate):
-            payload = _candidate_to_dict(result)
-        elif isinstance(result, SieveResult):
-            payload = sieve_result_to_dict(result)
-        elif isinstance(result, ScanReport):
-            payload = scan_report_to_dict(result)
-        elif isinstance(result, UnavailableLists):
-            payload = unavailable_to_dict(result)
-        else:
-            raise TypeError(f"cannot serialize {type(result).__name__}")
+        payload = {"results": [to_dict(r) for r in result]} if is_range else to_dict(result)
         out: list[str] = []
         _write_json(payload, out, "\n")
         out.append("\n")
         return "".join(out).encode("utf-8")
     if fmt == "csv":
-        return _render_csv(result if is_range else [result]).encode("utf-8")
-    text = (
-        "".join(_render_text(r) for r in result) if is_range else _render_text(result)
-    )
-    return text.encode("utf-8")
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for r in results:
+            writer.writerows(rows(r))
+        return buf.getvalue().encode("utf-8")
+    return "".join(line + "\n" for r in results for line in lines(r)).encode("utf-8")

@@ -31,6 +31,7 @@ from .filters import (
     theorem2_marks,
 )
 from .model import (
+    DEFAULT_BUDGET,
     Candidate,
     DistanceProfile,
     candidate_count,
@@ -40,8 +41,6 @@ from .model import (
     line_orbits,
     orbit,
 )
-
-DEFAULT_BUDGET = 10**9
 
 # tuple.__new__(Cls, values) builds a NamedTuple at C speed, without the
 # Python frame of the generated Cls(...): a Candidate per candidate the

@@ -12,25 +12,106 @@ from hypothesis import given, strategies as st
 
 from squarepoint import model, report, search
 from squarepoint.filters import (
+    UNDECIDED,
+    Attribution,
     FilterConfig,
     FilterId,
+    Verdict,
     filter_lemma3,
     filter_theorem3,
     filter_theorem4,
     filter_theorem5,
     run_pipeline,
 )
-from squarepoint.model import Candidate
-from squarepoint.report import (
-    parse_scan_report,
-    parse_sieve_result,
-    parse_search_results,
-    parse_unavailable_lists,
-    serialize,
-    unavailable_lists,
+from squarepoint.model import CORNERS, Candidate, DistanceProfile, distance_profile
+from squarepoint.report import UnavailableLists, ValueLists, serialize, unavailable_lists
+from squarepoint.search import (
+    ScanHit,
+    ScanReport,
+    ScanRequest,
+    SieveResult,
+    Survivor,
+    oracle_scan,
+    search_range,
+    sieve_z,
 )
-from squarepoint.search import ScanRequest, oracle_scan, search_range, sieve_z
 from squarepoint.selfcheck import check_z60_lists
+
+# ---------------------------------------------------------------------------
+# readers of the JSON output, the reference its round trips are checked by
+
+
+def _load(data: bytes | str | dict) -> dict:
+    return data if isinstance(data, dict) else json.loads(data)
+
+
+def _attribution_from_list(entries: list[dict]) -> Attribution:
+    parsed = []
+    for entry in entries:
+        fid = FilterId(entry["filter"])
+        verdict = Verdict(fid, entry["witness"]) if entry["eliminated"] else UNDECIDED
+        parsed.append((fid, verdict))
+    return Attribution(tuple(parsed))
+
+
+def parse_sieve_result(data: bytes | str | dict) -> SieveResult:
+    obj = _load(data)
+    z = obj["z"]
+    survivors = []
+    for s in obj["survivors"]:
+        c = Candidate(s["x"], s["y"], z)
+        attribution = _attribution_from_list(s["attribution"])
+        survivors.append(Survivor(c, attribution, distance_profile(c)))
+    return SieveResult(
+        z=z,
+        candidates=obj["totals"]["candidates"],
+        eliminated=tuple(
+            (FilterId(name), n) for name, n in obj["totals"]["eliminated"].items()
+        ),
+        survivors=tuple(survivors),
+        max_count=obj["oracle"]["max_count"],
+        witnesses=tuple(_hit_from_dict(w) for w in obj["oracle"]["witnesses"]),
+    )
+
+
+def _hit_from_dict(data: dict) -> ScanHit:
+    c = Candidate(data["x"], data["y"], data["z"])
+    profile = DistanceProfile(
+        tuple(data["squared"][k] for k in CORNERS),
+        tuple(data["roots"][k] for k in CORNERS),
+    )
+    return ScanHit(c, profile, data["orbit"])
+
+
+def parse_scan_report(data: bytes | str | dict) -> ScanReport:
+    obj = _load(data)
+    return ScanReport(
+        ScanRequest(**obj["request"]),
+        tuple(_hit_from_dict(h) for h in obj["hits"]),
+    )
+
+
+def parse_unavailable_lists(data: bytes | str | dict) -> UnavailableLists:
+    obj = _load(data)
+    lists = {
+        name: ValueLists(tuple(vl["direct"]), tuple(vl["combined"]))
+        for name, vl in obj["lists"].items()
+    }
+    return UnavailableLists(
+        z=obj["z"],
+        theorem3_x=lists["theorem3"],
+        theorem4_x=lists["theorem4"],
+        theorem5_y=lists["theorem5"],
+        lemma3_y=lists["lemma3"],
+    )
+
+
+def parse_search_results(data: bytes | str) -> list[SieveResult]:
+    obj = _load(data)
+    return [parse_sieve_result(entry) for entry in obj["results"]]
+
+
+# ---------------------------------------------------------------------------
 
 
 def test_z60_golden_lists():
