@@ -11,11 +11,10 @@ known three-distance point is legitimate.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, islice
 from math import gcd, isqrt
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .arith import (
     divisors,
@@ -124,21 +123,25 @@ NONRESIDUE_PRIMES = two_nonresidue_primes(100)
 LEMMA3_BOUND = 10_000
 
 
-@dataclass(frozen=True)
-class FilterConfig:
-    """Which filters run."""
+class _FilterConfigFields(NamedTuple):
+    enabled: frozenset[FilterId]
 
-    enabled: frozenset[FilterId] = frozenset(FilterId)
 
-    def __post_init__(self):
-        object.__setattr__(self, "enabled", frozenset(self.enabled))
+class FilterConfig(_FilterConfigFields):
+    """Which filters run: every FilterId unless told otherwise."""
+
+    __slots__ = ()
+
+    def __new__(cls, enabled: Iterable[FilterId] = frozenset(FilterId)) -> FilterConfig:
+        self = super().__new__(cls, frozenset(enabled))
         unknown = [f for f in self.enabled if not isinstance(f, FilterId)]
         if unknown:
             raise ValueError(f"unknown filter ids: {', '.join(sorted(map(repr, unknown)))}")
+        return self
 
     @classmethod
-    def only(cls, *filter_ids: FilterId) -> "FilterConfig":
-        return cls(enabled=frozenset(filter_ids))
+    def only(cls, *filter_ids: FilterId) -> FilterConfig:
+        return cls(filter_ids)
 
 
 def filter_boundary(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
@@ -195,8 +198,8 @@ def lemma3_sides(z: int) -> set[int]:
 
 
 def parity_rows(z: int) -> Iterator[tuple[int, range]]:
-    """The pairs of canonical_interior_pairs(z) that filter_parity_residue
-    leaves undecided, as rows (x, ys) in ascending x, one per x.
+    """The pairs of canonical_rows(z) that filter_parity_residue leaves
+    undecided, as rows (x, ys) in ascending x, one per x.
 
     None unless 12 divides z.  Then z is even, so a canonical pair with one
     odd and one even coordinate has x odd, 2x < z and y even, 2y <= z; y

@@ -7,9 +7,7 @@ through A and D.  All reports use the fixed corner order A, B, C, D.
 
 from __future__ import annotations
 
-import itertools
 from math import gcd, isqrt
-from operator import itemgetter
 from typing import Collection, Iterator, NamedTuple
 
 from .arith import factorize
@@ -128,13 +126,6 @@ def canonical_rows(z: int) -> Iterator[tuple[int, range]]:
             if x <= ymax:
                 yield x, range(x, ymax + 1, 2)
             yield x, range(2, min(ymax, z - x) + 1, 2)
-
-
-def canonical_interior_pairs(z: int) -> Iterator[tuple[int, int]]:
-    """The (x, y) of canonical_rows(z), ascending in (x, y)."""
-    for x, rows in itertools.groupby(canonical_rows(z), key=itemgetter(0)):
-        for y in sorted(itertools.chain.from_iterable(ys for _, ys in rows)):
-            yield x, y
 
 
 def candidate_count(z: int) -> int:

@@ -18,7 +18,7 @@ import io
 import itertools
 import json
 from functools import cache
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple
 
 from .model import CORNERS, Candidate, DistanceProfile, distance_profile
 
@@ -190,17 +190,8 @@ def sieve_result_to_dict(result: SieveResult) -> dict:
 
 
 def scan_report_to_dict(report: ScanReport) -> dict:
-    req = report.request
     return {
-        "request": {
-            "z_min": req.z_min,
-            "z_max": req.z_max,
-            "min_count": req.min_count,
-            "include_boundary": req.include_boundary,
-            "primitive_only": req.primitive_only,
-            "mod12_only": req.mod12_only,
-            "budget": req.budget,
-        },
+        "request": report.request._asdict(),
         "hits": [_hit_to_dict(h) for h in report.hits],
     }
 
@@ -412,13 +403,11 @@ def _write_json(o, out: list[str], nl: str) -> None:
 
 def serialize(result, fmt: str = "json") -> bytes:
     """Render a Candidate's distance profile, a SieveResult, ScanReport,
-    UnavailableLists, or sequence of SieveResults as json, csv or text bytes."""
+    UnavailableLists, or list or tuple of SieveResults as json, csv or text."""
     if fmt not in FORMATS:
         raise ValueError(f"unsupported format {fmt!r}; expected one of {FORMATS}")
-    # a Candidate and an UnavailableLists are tuples, so neither counts as a range
-    is_range = isinstance(result, Sequence) and not isinstance(
-        result, (str, bytes, Candidate, UnavailableLists)
-    )
+    # every record is a tuple subclass, so only a plain list or tuple is a range
+    is_range = type(result) in (list, tuple)
     to_dict, rows, lines = _SIEVE if is_range else _renderers(result)
     results = result if is_range else (result,)
     if fmt == "json":

@@ -9,7 +9,6 @@ any worker count produces identical results.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import gcd
 from operator import itemgetter
 from typing import Callable, Collection, Iterator, NamedTuple
@@ -52,15 +51,7 @@ class BudgetExceededError(RuntimeError):
     """The requested region exceeds its budget."""
 
 
-@dataclass(frozen=True)
-class ScanRequest:
-    """Region and options for an oracle scan.
-
-    mod12_only restricts to z = 0 (mod 12), which is only sound when hunting
-    four-distance points (three-distance witnesses such as (7, 24, 52) live
-    at other z), so it requires min_count >= 4.
-    """
-
+class _ScanRequestFields(NamedTuple):
     z_min: int = 1
     z_max: int = 1
     min_count: int = 3
@@ -69,13 +60,26 @@ class ScanRequest:
     mod12_only: bool = False
     budget: int = DEFAULT_BUDGET
 
-    def __post_init__(self):
+
+class ScanRequest(_ScanRequestFields):
+    """Region and options for an oracle scan.
+
+    mod12_only restricts to z = 0 (mod 12), which is only sound when hunting
+    four-distance points (three-distance witnesses such as (7, 24, 52) live
+    at other z), so it requires min_count >= 4.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> ScanRequest:
+        self = super().__new__(cls, *args, **kwargs)
         if self.z_min < 1 or self.z_min > self.z_max:
             raise ValueError("need 1 <= z_min <= z_max")
         if not 0 <= self.min_count <= 4:
             raise ValueError("min_count must be within 0..4")
         if self.mod12_only and self.min_count < 4:
             raise ValueError("mod12_only is only valid for four-distance hunts")
+        return self
 
 
 class ScanHit(NamedTuple):
@@ -84,8 +88,7 @@ class ScanHit(NamedTuple):
     orbit_size: int
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     request: ScanRequest
     hits: tuple[ScanHit, ...]
 
@@ -96,8 +99,7 @@ class Survivor(NamedTuple):
     profile: DistanceProfile
 
 
-@dataclass(frozen=True)
-class SieveResult:
+class SieveResult(NamedTuple):
     """Per-z sieve outcome: first-hit elimination counts and the survivors.
 
     candidates == survivors + sum of eliminated counts.  Survivors carry a

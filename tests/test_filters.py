@@ -41,7 +41,7 @@ from squarepoint.filters import (
     theorem4_root,
     theorem5_shape,
 )
-from squarepoint.model import Candidate, canonical_interior_pairs, canonical_rows
+from squarepoint.model import Candidate, canonical_rows
 from squarepoint.search import enumerate_candidates
 from squarepoint.selfcheck import check_first_hit
 
@@ -454,7 +454,7 @@ def test_lemma3_witness_cites_first_qualifying_side():
 def test_parity_pairs_are_the_canonical_pairs_passing_parity():
     for z in range(1, 301):
         expected = [
-            p for p in canonical_interior_pairs(z)
+            p for p in sorted((x, y) for x, ys in canonical_rows(z) for y in ys)
             if not filter_parity_residue(Candidate(*p, z)).eliminated
         ]
         assert [(x, y) for x, ys in parity_rows(z) for y in ys] == expected, z

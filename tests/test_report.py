@@ -296,10 +296,15 @@ def test_json_writer_matches_stdlib(tree):
 
 
 def test_json_matches_stdlib_per_payload():
+    def as_range(rs):
+        return {"results": [report.sieve_result_to_dict(r) for r in rs]}
+
     cases = [
         (Candidate(7, 24, 52), report._candidate_to_dict),
         (sieve_z(72), report.sieve_result_to_dict),
-        (search_range(1, 150), lambda rs: {"results": [report.sieve_result_to_dict(r) for r in rs]}),
+        (search_range(1, 150), as_range),
+        # a tuple of results is a range too; a lone SieveResult or ScanReport is not
+        (tuple(search_range(1, 60)), as_range),
         (oracle_scan(ScanRequest(z_min=1, z_max=120, min_count=2)),
          report.scan_report_to_dict),
         (unavailable_lists(60), report.unavailable_to_dict),
@@ -311,8 +316,7 @@ def test_json_matches_stdlib_per_payload():
     parsed = parse_sieve_result(serialize(single))
     cases += [
         (single, report.sieve_result_to_dict),
-        (search_range(1, 60, only3),
-         lambda rs: {"results": [report.sieve_result_to_dict(r) for r in rs]}),
+        (search_range(1, 60, only3), as_range),
         (parsed, report.sieve_result_to_dict),
     ]
     for payload, to_dict in cases:

@@ -34,15 +34,18 @@ print(*sys.modules, sep="\\n", file=sys.stderr)
 sys.exit(code)
 """
 ANY_SEARCH = {"squarepoint.selfcheck", "multiprocessing"}
+# every record is a NamedTuple, so no call loads dataclasses or what it imports
+NO_DATACLASSES = {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize("argv, absent", [
     ("distances --x 7 --y 24 --z 52",
-     {"squarepoint.filters", "squarepoint.search", "dataclasses", *ANY_SEARCH}),
-    ("lists --z 60", {"squarepoint.search", *ANY_SEARCH}),
-    ("sieve --z 60", ANY_SEARCH),
-    ("search --z-min 1 --z-max 24 --threads 1", ANY_SEARCH),
-    ("three-distance --z-max 20", ANY_SEARCH),
+     {"squarepoint.filters", "squarepoint.search"} | ANY_SEARCH | NO_DATACLASSES),
+    ("lists --z 60", {"squarepoint.search"} | ANY_SEARCH | NO_DATACLASSES),
+    ("sieve --z 60", ANY_SEARCH | NO_DATACLASSES),
+    ("search --z-min 1 --z-max 24 --threads 1", ANY_SEARCH | NO_DATACLASSES),
+    ("three-distance --z-max 20", ANY_SEARCH | NO_DATACLASSES),
+    ("verify --suite paper", NO_DATACLASSES),
 ])
 def test_subcommand_imports_only_what_it_uses(argv, absent):
     proc = fresh(PROBE, *argv.split())
