@@ -469,17 +469,6 @@ def filter_theorem6(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
     return _new(Verdict, (FilterId.THEOREM6, witness))
 
 
-# The one-axis filters whose per-value test ignores z: the axis whose side
-# values each rules out, and that test.  A side value v is ruled out at side
-# z when v or z - v passes the test; for theorem6, only when both do.
-ONE_AXIS: dict[FilterId, tuple[str, Callable[[int], object]]] = {
-    FilterId.THEOREM3: ("x", odd_prime),
-    FilterId.THEOREM4: ("x", theorem4_root),
-    FilterId.THEOREM5: ("y", theorem5_shape),
-    FilterId.COROLLARY52: ("x", cor52_split),
-    FilterId.THEOREM6: ("x", odd_semiprime),
-}
-
 def _odd_primes(n: int) -> bytearray:
     """theorem3: the odd primes, from one sieve."""
     passes = prime_flags(n)
@@ -551,19 +540,23 @@ def _nonresidue_semiprimes(n: int) -> bytearray:
     return passes
 
 
-# Per ONE_AXIS filter: the values 0..n that pass its test, as n + 1 bytes of
-# 0 or 1, listed from the condition itself rather than by testing each value.
-_ENUMERATIONS: dict[FilterId, Callable[[int], bytearray]] = {
-    FilterId.THEOREM3: _odd_primes,
-    FilterId.THEOREM4: _nonresidue_prime_powers,
-    FilterId.THEOREM5: _shape5_values,
-    FilterId.COROLLARY52: _cor52_values,
-    FilterId.THEOREM6: _nonresidue_semiprimes,
+# The one-axis filters whose per-value test ignores z: the axis whose side
+# values each rules out, that test, and its fill.  fill(n) gives the values
+# 0..n that pass the test as n + 1 bytes of 0 or 1, listed from the
+# condition itself rather than by testing each value.  A side value v is
+# ruled out at side z when v or z - v passes the test; for theorem6, only
+# when both do.
+ONE_AXIS: dict[FilterId, tuple[str, Callable[[int], object], Callable[[int], bytearray]]] = {
+    FilterId.THEOREM3: ("x", odd_prime, _odd_primes),
+    FilterId.THEOREM4: ("x", theorem4_root, _nonresidue_prime_powers),
+    FilterId.THEOREM5: ("y", theorem5_shape, _shape5_values),
+    FilterId.COROLLARY52: ("x", cor52_split, _cor52_values),
+    FilterId.THEOREM6: ("x", odd_semiprime, _nonresidue_semiprimes),
 }
 
-# Per ONE_AXIS filter: its enumeration up to the largest z seen in this
-# process, or further.  A longer table replaces the stored one, so a reader
-# never sees a part still being filled.
+# Per ONE_AXIS filter: its fill up to the largest z seen in this process,
+# or further.  A longer table replaces the stored one, so a reader never
+# sees a part still being filled.
 _PASSES: dict[FilterId, bytes] = {}
 
 
@@ -573,7 +566,7 @@ def ruled_values(z: int, fid: FilterId) -> bytes:
     passed = _PASSES.get(fid, b"")
     if len(passed) <= z:
         # at least doubled, so an ascending sweep of z fills O(log z) times
-        passed = bytes(_ENUMERATIONS[fid](max(z, 2 * len(passed))))
+        passed = bytes(ONE_AXIS[fid][2](max(z, 2 * len(passed))))
         _PASSES[fid] = passed
     # read big-endian, the entries 0..z give v the entry of z - v
     window = passed[:z + 1]
@@ -623,7 +616,9 @@ def full_attribution(c: Candidate, passed: frozenset[FilterId] = frozenset()) ->
     """Every filter's verdict, whichever ran in the sieve, so that reports
     can explain near-misses of survivors.  A filter in passed is known to
     leave c undecided (the sieve's enabled filters leave its survivors so)
-    and is not called."""
+    and is not called; with every filter in passed, that is ALL_UNDECIDED."""
+    if len(passed) == len(_FILTER_FUNCS):
+        return ALL_UNDECIDED
     return Attribution(tuple([
         (fid, UNDECIDED if fid in passed else func(c)) for fid, func in _FILTER_FUNCS.items()
     ]))
@@ -640,14 +635,15 @@ def recheck_witness(c: Candidate, fid: FilterId, witness: dict) -> bool:
     is missing or of the wrong type all read False.  A number the check
     reads must be an int: a float or a bool that equals the right value
     reads False too, as does an even p, for which no Jacobi symbol (2/p)
-    exists.
+    exists, and a p, e or h larger than the candidate's sides allow, which
+    is refused before is_prime or a power reaches it.
     """
-    kind, check = _RECHECKS.get(fid, (None, None))
     try:
+        kind, check = _RECHECKS[fid]
         cited = witness.get("kind")
-    except AttributeError:  # not a dict
+    except (KeyError, TypeError, AttributeError):  # fid not a FilterId, witness not a dict
         return False
-    if kind is None or cited != kind:
+    if cited != kind:
         return False
     try:
         return check(c, witness)
@@ -714,13 +710,16 @@ def _recheck_theorem1(c: Candidate, witness: dict) -> bool:
 def _recheck_theorem2(c: Candidate, witness: dict) -> bool:
     p, corner = witness["p"], witness["corner"]
     a, b = _legs_at(c, corner)
+    # p divides a nonzero a - b, so p < z; for a == b the filter cites 3.
+    # A larger p is refused before is_prime reaches it.
     if not (
         type(p) is int
         and p % 2 == 1
-        and is_prime(p)
-        and jacobi(2, p) == -1
+        and 3 <= p <= max(c.z, 3)
         and _cites_legs(witness, a, b)
         and (a - b) % p == 0
+        and is_prime(p)
+        and jacobi(2, p) == -1
     ):
         return False
     if a % p:
@@ -738,10 +737,12 @@ def _recheck_theorem3(c: Candidate, witness: dict) -> bool:
 def _recheck_theorem4(c: Candidate, witness: dict) -> bool:
     p, e = witness["p"], witness["e"]
     side = _side_value(c, witness["side"])
-    # p >= 3, so p**e == side needs e <= side.bit_length(): a larger e is
-    # refused before p**e is built
-    return (type(p) is int and type(e) is int and p % 2 == 1 and is_prime(p)
-            and jacobi(2, p) == -1 and 1 <= e <= side.bit_length() and p**e == side)
+    # p**e == side with p >= 3 and e >= 1 needs p <= side and e <=
+    # side.bit_length(): a larger p or e is refused before is_prime(p) or
+    # p**e is reached
+    return (type(p) is int and type(e) is int and p % 2 == 1 and 3 <= p <= side
+            and 1 <= e <= side.bit_length() and p**e == side
+            and is_prime(p) and jacobi(2, p) == -1)
 
 
 def _recheck_theorem5(c: Candidate, witness: dict) -> bool:

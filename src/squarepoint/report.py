@@ -114,8 +114,9 @@ def _attribution_writer():
 
     Each filter's UNDECIDED entry is one object shared by every attribution
     that holds it, and the entries of ALL_UNDECIDED are one list shared by
-    every survivor that passed every filter, so _write_json renders each
-    once per indent.
+    every attribution equal to it, so _write_json renders each once per
+    indent.  Both are recognised by value, so an attribution unpickled from
+    a worker process shares them too.
     """
     from .filters import ALL_UNDECIDED, UNDECIDED, FilterId, SharedDict
 
@@ -125,10 +126,10 @@ def _attribution_writer():
         _SHARED_TEXTS[id(shared)] = {}
 
     def attribution_to_list(attribution: Attribution) -> list[dict]:
-        if attribution is ALL_UNDECIDED:
+        if attribution == ALL_UNDECIDED:
             return all_undecided
         return [
-            undecided[fid] if v is UNDECIDED else _verdict_to_dict(fid, v)
+            undecided[fid] if v == UNDECIDED else _verdict_to_dict(fid, v)
             for fid, v in attribution.entries
         ]
 

@@ -15,7 +15,6 @@ from typing import Callable, Collection, Iterator, NamedTuple
 
 from .arith import factorize, pythagorean_partners
 from .filters import (
-    ALL_UNDECIDED,
     BIT,
     FIRST_HIT,
     ONE_AXIS,
@@ -261,7 +260,7 @@ def _walk_rows(
     counted = sum(1 << 8 * v for v in sides)
     x_bits, y_bits = ((counted + sum(
         int.from_bytes(ruled_values(z, fid), "little") * row_bit[fid]
-        for fid, (axis, _) in ONE_AXIS.items() if axis == side and row_bit[fid]
+        for fid, (axis, _, _) in ONE_AXIS.items() if axis == side and row_bit[fid]
     )).to_bytes(z + 1, "little") for side in "xy")
     theorem1, theorem2 = row_bit[FilterId.THEOREM1], row_bit[FilterId.THEOREM2]
     marks = theorem2_marks(z) if theorem2 else b""
@@ -362,11 +361,8 @@ def sieve_z(z: int, cfg: FilterConfig | None = None, mode: str = FIRST_HIT) -> S
     # primitive pairs on no counted line are the codes other than 1
     counts[parity] += total - on_lines - (len(codes) - codes.count(1))
     # a survivor passed every enabled filter: only the disabled ones need a call
-    partial = len(enabled) < len(FilterId)
     survivors = [
-        _new(Survivor, (c, full_attribution(c, enabled) if partial else ALL_UNDECIDED,
-                        distance_profile(c)))
-        for c in found
+        _new(Survivor, (c, full_attribution(c, enabled), distance_profile(c))) for c in found
     ]
     max_count = max((s.profile.integer_count for s in survivors), default=None)
     return SieveResult(

@@ -407,6 +407,30 @@ def test_recheck_refuses_huge_exponents_in_bounded_time():
         assert recheck_witness(c, fid, {**witness, field: "2"}) is False, fid
 
 
+def test_recheck_refuses_a_huge_p_before_testing_it(monkeypatch):
+    # json.loads reads an int of up to 4,300 digits.  A valid p is at most
+    # the side (theorem4: p**e == side) or below z (theorem2: p divides a
+    # nonzero a - b; where a == b the filter cites 3), so a forged p of that
+    # length is refused before is_prime sees it.  This one has no prime
+    # factor below 41, so is_prime would spend seconds on Miller-Rabin
+    def bounded_is_prime(n):
+        if n > 2**64:
+            raise AssertionError(f"is_prime reached a {len(str(n))}-digit n")
+        return is_prime(n)
+
+    monkeypatch.setattr(filters, "is_prime", bounded_is_prime)
+    huge = 10**4299 + 7
+    cases = [
+        (Candidate(27, 2, 60), FilterId.THEOREM4, filter_theorem4),
+        (Candidate(8, 3, 60), FilterId.THEOREM2, filter_theorem2),
+        (Candidate(5, 5, 12), FilterId.THEOREM2, filter_theorem2),  # a == b at corner A
+    ]
+    for c, fid, func in cases:
+        witness = func(c).witness
+        assert recheck_witness(c, fid, witness), (c, fid)
+        assert recheck_witness(c, fid, {**witness, "p": huge}) is False, (c, fid)
+
+
 def _one_eliminated_per_filter(z_max):
     """{fid: (c, witness)} for the first candidate each filter eliminates."""
     found = {}
@@ -432,7 +456,7 @@ def test_recheck_dispatch_rejects_witness_under_other_ids():
         assert recheck_witness(c, fid, {k: v for k, v in witness.items()
                                         if k != "kind"}) is False, fid
         # an id that is not a FilterId, even one naming this filter
-        for bogus in (fid.value, fid.name, None, 0):
+        for bogus in (fid.value, fid.name, None, 0, [fid.value], {}):
             assert recheck_witness(c, bogus, witness) is False, (fid, bogus)
 
 
@@ -546,9 +570,8 @@ EDGE_LENGTHS = sorted({
 def test_enumerated_tables_match_per_value_tests(fid):
     # each table is listed from its condition's structure; its per-value
     # test, the filter's definition, is applied here to every v
-    test = ONE_AXIS[fid][1]
+    _, test, fill = ONE_AXIS[fid]
     reference = bytes(bool(test(v)) for v in range(ENUMERATION_BOUND + 1))
-    fill = filters._ENUMERATIONS[fid]
     for n in EDGE_LENGTHS:
         assert fill(n) == reference[:n + 1], (fid, n)
 

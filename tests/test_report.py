@@ -363,6 +363,16 @@ def test_edit_of_one_tree_reaches_no_other():
     attribution = tree["survivors"][0]["attribution"]
     # every survivor at z = 240 passed every filter: they share one list
     assert all(s["attribution"] is attribution for s in tree["survivors"])
+    # shared by value, not identity: so do the survivors of a pickle round
+    # trip, as from a worker process, and those of a sieve with parity
+    # disabled that every filter leaves undecided, which are the survivors
+    # above
+    no_parity = FilterConfig(set(FilterId) - {FilterId.PARITY_RESIDUE})
+    for result in (pickle.loads(pickle.dumps(sieve_z(240))), sieve_z(240, no_parity)):
+        passed = [s for s in report.sieve_result_to_dict(result)["survivors"]
+                  if not any(e["eliminated"] for e in s["attribution"])]
+        assert [(s["x"], s["y"]) for s in passed] == [(s["x"], s["y"]) for s in tree["survivors"]]
+        assert all(s["attribution"] is attribution for s in passed)
     entry = attribution[0]
     for edit in EDITS:
         try:
