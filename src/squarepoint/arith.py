@@ -216,7 +216,7 @@ def prime_flags(bound: int) -> bytearray:
     return sieve
 
 
-def _primes_upto(bound: int) -> list[int]:
+def primes_upto(bound: int) -> list[int]:
     """The primes p <= bound, ascending."""
     return list(compress(range(bound + 1), prime_flags(bound))) if bound >= 2 else []
 
@@ -230,7 +230,7 @@ def two_nonresidue_primes(bound: int) -> tuple[int, ...]:
     """
     if bound < 3:
         raise ValueError("two_nonresidue_primes requires bound >= 3")
-    return tuple(p for p in _primes_upto(bound) if p % 2 and jacobi(2, p) == -1)
+    return tuple(p for p in primes_upto(bound) if p % 2 and jacobi(2, p) == -1)
 
 
 def odd_leg_decompositions(a: int) -> set[LegDecomposition]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from functools import lru_cache
-from itertools import compress, islice
+from itertools import islice
 from math import gcd, isqrt
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -23,9 +23,10 @@ from .arith import (
     jacobi,
     prime_flags,
     prime_power_root,
+    primes_upto,
     two_nonresidue_primes,
 )
-from .model import CORNERS, Candidate, corner_legs
+from .model import CORNERS, Candidate, _new, corner_legs
 
 FIRST_HIT = "first"
 
@@ -54,9 +55,6 @@ class FilterId(enum.Enum):
 # filters that decide most candidates name their ids through these.
 _BOUNDARY, _LEMMA3, _PARITY = FilterId.BOUNDARY, FilterId.LEMMA3, FilterId.PARITY_RESIDUE
 
-# a filter mask has bit i set for the i-th FilterId
-BIT = {fid: 1 << i for i, fid in enumerate(FilterId)}
-
 
 class Verdict(NamedTuple):
     """Either undecided (both fields None) or eliminated by one filter."""
@@ -70,10 +68,6 @@ class Verdict(NamedTuple):
 
 
 UNDECIDED = Verdict(None, None)
-
-# tuple.__new__(Cls, values) builds a NamedTuple at C speed, without the
-# Python frame of the generated Cls(...): one per eliminated candidate.
-_new = tuple.__new__
 
 
 class SharedDict(dict):
@@ -494,7 +488,7 @@ def _shape5_values(n: int) -> bytearray:
     # m < 2**h and 2**(h+1) * m <= n give 2*m*m < n
     bound = isqrt(n)
     allowed = bytearray([1]) * (bound + 1)
-    for p in compress(range(bound + 1), prime_flags(bound)):
+    for p in primes_upto(bound):
         if not shape5_prime_allowed(p):
             allowed[p::p] = bytes(len(range(p, bound + 1, p)))
     passes = bytearray(n + 1)
@@ -534,7 +528,7 @@ def _cor52_values(n: int) -> bytearray:
 def _nonresidue_semiprimes(n: int) -> bytearray:
     """theorem6: the products of two distinct primes = 3 or 5 (mod 8)."""
     passes = bytearray(n + 1)
-    primes = [p for p in compress(range(n // 3 + 1), prime_flags(n // 3)) if p % 8 in (3, 5)]
+    primes = [p for p in primes_upto(n // 3) if p % 8 in (3, 5)]
     for p, q in _split_pairs(primes, n):
         passes[p * q] = 1
     return passes
@@ -575,25 +569,9 @@ def ruled_values(z: int, fid: FilterId) -> bytes:
     return ruled.to_bytes(z + 1, "little")
 
 
-# The filter_* functions take an unused cfg only because
-# perfbench/tracing.py still passes one; the pipeline calls func(c).
-_FILTER_FUNCS: dict[FilterId, Callable[[Candidate], Verdict]] = {
-    FilterId.BOUNDARY: filter_boundary,
-    FilterId.LEMMA3: filter_lemma3,
-    FilterId.PARITY_RESIDUE: filter_parity_residue,
-    FilterId.THEOREM1: filter_theorem1,
-    FilterId.THEOREM2: filter_theorem2,
-    FilterId.THEOREM3: filter_theorem3,
-    FilterId.THEOREM4: filter_theorem4,
-    FilterId.THEOREM5: filter_theorem5,
-    FilterId.COROLLARY52: filter_cor52,
-    FilterId.THEOREM6: filter_theorem6,
-}
-
-
 @lru_cache(maxsize=32)
 def _enabled_in_order(enabled: frozenset) -> tuple[tuple[FilterId, Callable], ...]:
-    return tuple((fid, _FILTER_FUNCS[fid]) for fid in FilterId if fid in enabled)
+    return tuple((fid, _FILTERS[fid][0]) for fid in FilterId if fid in enabled)
 
 
 def run_pipeline(c: Candidate, cfg: FilterConfig, mode: str = FIRST_HIT) -> Attribution:
@@ -617,10 +595,10 @@ def full_attribution(c: Candidate, passed: frozenset[FilterId] = frozenset()) ->
     can explain near-misses of survivors.  A filter in passed is known to
     leave c undecided (the sieve's enabled filters leave its survivors so)
     and is not called; with every filter in passed, that is ALL_UNDECIDED."""
-    if len(passed) == len(_FILTER_FUNCS):
+    if len(passed) == len(_FILTERS):
         return ALL_UNDECIDED
     return Attribution(tuple([
-        (fid, UNDECIDED if fid in passed else func(c)) for fid, func in _FILTER_FUNCS.items()
+        (fid, UNDECIDED if fid in passed else func(c)) for fid, (func, _, _) in _FILTERS.items()
     ]))
 
 
@@ -639,7 +617,7 @@ def recheck_witness(c: Candidate, fid: FilterId, witness: dict) -> bool:
     is refused before is_prime or a power reaches it.
     """
     try:
-        kind, check = _RECHECKS[fid]
+        _, kind, check = _FILTERS[fid]
         cited = witness.get("kind")
     except (KeyError, TypeError, AttributeError):  # fid not a FilterId, witness not a dict
         return False
@@ -768,8 +746,9 @@ def _recheck_cor52(c: Candidate, witness: dict) -> bool:
 def _recheck_theorem6(c: Candidate, witness: dict) -> bool:
     x, _, z = c
     p1, p2, q1, q2 = primes = [witness[k] for k in ("p1", "p2", "q1", "q2")]
+    # each factor >= 3 is at most its side: a larger one never reaches is_prime
     return (
-        all(type(t) is int for t in primes)
+        all(type(t) is int and t >= 3 for t in primes)
         and p1 * p2 == x
         and q1 * q2 == z - x
         and p1 != p2
@@ -823,17 +802,19 @@ def _legs_at(c: Candidate, corner: str) -> tuple[int, int]:
     return dict(zip(CORNERS, legs))[corner]
 
 
-# Per filter: the witness kind its filter writes and the check that
-# re-derives such a witness.
-_RECHECKS: dict[FilterId, tuple[str, Callable[[Candidate, dict], bool]]] = {
-    FilterId.BOUNDARY: ("boundary", _recheck_boundary),
-    FilterId.LEMMA3: ("lemma3", _recheck_lemma3),
-    FilterId.PARITY_RESIDUE: ("parity", _recheck_parity),
-    FilterId.THEOREM1: ("inequality", _recheck_theorem1),
-    FilterId.THEOREM2: ("congruence", _recheck_theorem2),
-    FilterId.THEOREM3: ("prime", _recheck_theorem3),
-    FilterId.THEOREM4: ("prime_power", _recheck_theorem4),
-    FilterId.THEOREM5: ("shape5", _recheck_theorem5),
-    FilterId.COROLLARY52: ("cor52", _recheck_cor52),
-    FilterId.THEOREM6: ("theorem6", _recheck_theorem6),
+# Per filter, in FilterId order: the filter, the witness kind it writes
+# and the check that re-derives such a witness.  The filter_* functions
+# take an unused cfg only because perfbench/tracing.py still passes one;
+# the pipeline calls func(c).
+_FILTERS: dict[FilterId, tuple[Callable[..., Verdict], str, Callable[..., bool]]] = {
+    FilterId.BOUNDARY: (filter_boundary, "boundary", _recheck_boundary),
+    FilterId.LEMMA3: (filter_lemma3, "lemma3", _recheck_lemma3),
+    FilterId.PARITY_RESIDUE: (filter_parity_residue, "parity", _recheck_parity),
+    FilterId.THEOREM1: (filter_theorem1, "inequality", _recheck_theorem1),
+    FilterId.THEOREM2: (filter_theorem2, "congruence", _recheck_theorem2),
+    FilterId.THEOREM3: (filter_theorem3, "prime", _recheck_theorem3),
+    FilterId.THEOREM4: (filter_theorem4, "prime_power", _recheck_theorem4),
+    FilterId.THEOREM5: (filter_theorem5, "shape5", _recheck_theorem5),
+    FilterId.COROLLARY52: (filter_cor52, "cor52", _recheck_cor52),
+    FilterId.THEOREM6: (filter_theorem6, "theorem6", _recheck_theorem6),
 }

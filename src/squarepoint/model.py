@@ -57,7 +57,7 @@ def corner_legs(c: Candidate) -> tuple[tuple[int, int], ...]:
 
 
 # tuple.__new__(Cls, values) builds a NamedTuple at C speed, without the
-# Python frame of the generated Cls(...)
+# Python frame of the generated Cls(...); filters and search use it too
 _new = tuple.__new__
 
 

@@ -251,12 +251,15 @@ def _sieve_rows(result: SieveResult) -> list[tuple]:
 
 
 def _lists_rows(lists: UnavailableLists) -> list[tuple]:
-    return [
-        (lists.z, *((v, "") if axis == "x" else ("", v)), "unavailable", fid,
-         "direct" if v in vl.direct else "reflected")
-        for fid, axis, vl in _named_lists(lists)
-        for v in vl.combined
-    ]
+    rows = []
+    for fid, axis, vl in _named_lists(lists):
+        direct = set(vl.direct)  # a tuple test per value would be quadratic in z
+        rows += [
+            (lists.z, *((v, "") if axis == "x" else ("", v)), "unavailable", fid,
+             "direct" if v in direct else "reflected")
+            for v in vl.combined
+        ]
+    return rows
 
 
 def _candidate_lines(c: Candidate) -> list[str]:

@@ -15,7 +15,6 @@ from typing import Callable, Collection, Iterator, NamedTuple
 
 from .arith import factorize, pythagorean_partners
 from .filters import (
-    BIT,
     FIRST_HIT,
     ONE_AXIS,
     Attribution,
@@ -32,6 +31,7 @@ from .model import (
     DEFAULT_BUDGET,
     Candidate,
     DistanceProfile,
+    _new,
     candidate_count,
     canonical_rows,
     canonicalize,
@@ -39,11 +39,6 @@ from .model import (
     line_orbits,
     orbit,
 )
-
-# tuple.__new__(Cls, values) builds a NamedTuple at C speed, without the
-# Python frame of the generated Cls(...): a Candidate per candidate the
-# dedup walk yields, and a Candidate and a Survivor per survivor.
-_new = tuple.__new__
 
 
 class BudgetExceededError(RuntimeError):
@@ -227,10 +222,10 @@ def oracle_scan(req: ScanRequest) -> ScanReport:
 
 # A row byte has one bit for each filter that a walked pair can reach, in
 # FilterId order: bit 0 marks a pair on a counted line (see sieve_z) or not
-# primitive, and each filter from theorem1 on has its BIT >> 2, so the
-# lowest set bit is the first hit.  _ROW_CODE maps a row byte to 1 + the
-# index of its lowest set bit: 0 for a survivor, 1 for a skipped pair,
-# i - 1 for the i-th filter.
+# primitive, and bit i + 1 the i-th of _ROW_FILTERS, the filters from
+# theorem1 on, so the lowest set bit is the first hit.  _ROW_CODE maps a
+# row byte to 1 + the index of its lowest set bit: 0 for a survivor, 1 for
+# a skipped pair, i + 2 for the i-th of _ROW_FILTERS.
 _ROW_FILTERS = tuple(FilterId)[3:]
 _ROW_CODE = bytes((b & -b).bit_length() for b in range(256))
 
@@ -254,7 +249,7 @@ def _walk_rows(
     sets a prefix and a suffix (theorem1_y_bounds), and the diagonals set
     bit 0 at y = x and y = z - x.
     """
-    row_bit = {fid: BIT[fid] >> 2 if fid in enabled else 0 for fid in _ROW_FILTERS}
+    row_bit = {fid: 2 << i if fid in enabled else 0 for i, fid in enumerate(_ROW_FILTERS)}
     # the planes are 0/1 bytes, so a sum of them times distinct bits is an
     # OR; bit 0 at the counted sides is a bit no filter uses
     counted = sum(1 << 8 * v for v in sides)
@@ -336,30 +331,30 @@ def sieve_z(z: int, cfg: FilterConfig | None = None, mode: str = FIRST_HIT) -> S
     if z < 1:
         raise ValueError("z must be positive")
     enabled = (cfg if cfg is not None else FilterConfig()).enabled
-    # the first-hit bit of each filter counted here, or 0 if it is disabled
-    boundary, lemma3, parity = (
-        BIT[fid] if fid in enabled else 0
-        for fid in (FilterId.BOUNDARY, FilterId.LEMMA3, FilterId.PARITY_RESIDUE)
-    )
+    boundary = FilterId.BOUNDARY in enabled
+    lemma3 = FilterId.LEMMA3 in enabled
+    parity = FilterId.PARITY_RESIDUE in enabled
     # the counted lines: boundary's diagonals and midlines, then the rows
     # and columns at lemma3's side values
     midlines = {z // 2} if boundary and z % 2 == 0 else set()
     sides = midlines | lemma3_sides(z) if lemma3 else midlines
-    diagonals = bool(boundary)
-    on_boundary = line_orbits(z, midlines, diagonals)
-    on_lines = line_orbits(z, sides, diagonals)
+    on_boundary = line_orbits(z, midlines, boundary)
+    on_lines = line_orbits(z, sides, boundary)
     codes, found = _walk_rows(
-        z, parity_rows(z) if parity else canonical_rows(z), enabled, sides, diagonals,
+        z, parity_rows(z) if parity else canonical_rows(z), enabled, sides, boundary,
     ) if not parity or z % 12 == 0 else (b"", [])
-    counts = [0] * (1 << len(FilterId))  # indexed by the first hit's bit
-    for code, fid in enumerate(_ROW_FILTERS, start=2):
-        counts[BIT[fid]] = codes.count(code)
     total = candidate_count(z)
-    counts[boundary] += on_boundary
-    counts[lemma3] += on_lines - on_boundary
-    # 0 with parity disabled: then every candidate is visited; the walked
-    # primitive pairs on no counted line are the codes other than 1
-    counts[parity] += total - on_lines - (len(codes) - codes.count(1))
+    # first hits in FilterId order.  The first three are 0 for a disabled
+    # filter: boundary's lines are then empty, lemma3's are boundary's, and
+    # with parity off every candidate is walked, each walked primitive pair
+    # on no counted line having a code other than 1.
+    counts = {
+        FilterId.BOUNDARY: on_boundary,
+        FilterId.LEMMA3: on_lines - on_boundary,
+        FilterId.PARITY_RESIDUE: total - on_lines - (len(codes) - codes.count(1)),
+    }
+    for code, fid in enumerate(_ROW_FILTERS, start=2):
+        counts[fid] = codes.count(code)
     # a survivor passed every enabled filter: only the disabled ones need a call
     survivors = [
         _new(Survivor, (c, full_attribution(c, enabled), distance_profile(c))) for c in found
@@ -368,7 +363,7 @@ def sieve_z(z: int, cfg: FilterConfig | None = None, mode: str = FIRST_HIT) -> S
     return SieveResult(
         z=z,
         candidates=total,
-        eliminated=tuple((fid, counts[BIT[fid]]) for fid in FilterId),
+        eliminated=tuple(counts.items()),
         survivors=tuple(survivors),
         max_count=max_count,
         witnesses=tuple(

@@ -12,11 +12,11 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from .arith import (
-    is_prime,
     is_qr_bruteforce,
     isqrt,
     jacobi,
     odd_leg_decompositions,
+    primes_upto,
     pythagorean_partners,
 )
 from .filters import FilterConfig, FilterId, full_attribution, recheck_witness, run_pipeline
@@ -37,14 +37,11 @@ def _check(name: str, failures: list) -> CheckResult:
     return CheckResult(name, not failures, detail)
 
 
-def _odd_primes(below: int) -> list[int]:
-    return [p for p in range(3, below, 2) if is_prime(p)]
-
-
+# the Jacobi checks read the odd primes below their bound: all but 2
 def check_jacobi(below: int) -> CheckResult:
     return _check(f"jacobi matches residue enumeration (p < {below})", [
         (a, p)
-        for p in _odd_primes(below)
+        for p in primes_upto(below - 1)[1:]
         for a in range(1, p)
         if (jacobi(a, p) == -1) == is_qr_bruteforce(a, p)
     ])
@@ -52,7 +49,7 @@ def check_jacobi(below: int) -> CheckResult:
 
 def check_jacobi_of_two(below: int) -> CheckResult:
     return _check(f"(2/p) = -1 iff p = 3,5 (mod 8) (p < {below})", [
-        p for p in _odd_primes(below) if (jacobi(2, p) == -1) != (p % 8 in (3, 5))
+        p for p in primes_upto(below - 1)[1:] if (jacobi(2, p) == -1) != (p % 8 in (3, 5))
     ])
 
 

@@ -21,6 +21,7 @@ from squarepoint.arith import (
     jacobi,
     odd_leg_decompositions,
     prime_power_root,
+    primes_upto,
     pythagorean_partners,
     two_nonresidue_primes,
 )
@@ -99,6 +100,12 @@ def test_is_prime_examples():
 def test_is_prime_matches_trial_division():
     for n in range(10_000):
         assert is_prime(n) == naive_is_prime(n), n
+
+
+def test_primes_upto_lists_the_primes():
+    # the sieve's edges: no prime up to 0 or 1, and 2 alone up to 2
+    for n in [*range(301), 10**4]:
+        assert primes_upto(n) == [p for p in range(n + 1) if is_prime(p)], n
 
 
 def test_is_prime_large():

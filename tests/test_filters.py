@@ -429,6 +429,14 @@ def test_recheck_refuses_a_huge_p_before_testing_it(monkeypatch):
         witness = func(c).witness
         assert recheck_witness(c, fid, witness), (c, fid)
         assert recheck_witness(c, fid, {**witness, "p": huge}) is False, (c, fid)
+    # theorem6 cites four factors of x and z - x: on an edge a zero factor
+    # leaves its partner unbounded, so every factor must be at least 3
+    c = Candidate(15, 2, 48)
+    assert recheck_witness(c, FilterId.THEOREM6, filter_theorem6(c).witness)
+    for c, factors in ((Candidate(0, 5, 33), (huge, 0, 11, 3)),
+                       (Candidate(15, 4, 15), (5, 3, huge, 0))):
+        witness = {"kind": "theorem6", **dict(zip(("p1", "p2", "q1", "q2"), factors))}
+        assert recheck_witness(c, FilterId.THEOREM6, witness) is False, c
 
 
 def _one_eliminated_per_filter(z_max):

@@ -6,6 +6,7 @@ import json
 import math
 import pickle
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -221,6 +222,15 @@ def test_csv_lists_rows():
     assert "60,,40,unavailable,lemma3,reflected" in rows
     assert "60,3,,unavailable,theorem3,direct" in rows
     assert "60,49,,unavailable,theorem3,reflected" in rows
+
+
+def test_csv_lists_in_bounded_time():
+    # a value's direct-or-reflected tag is a set lookup: over tuples, the
+    # CSV of z = 100,000 took seconds
+    lists = unavailable_lists(100_000)
+    start = time.perf_counter()
+    serialize(lists, "csv")
+    assert time.perf_counter() - start < 0.25
 
 
 def test_text_rendering():
