@@ -156,7 +156,6 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=1 << 16)
 def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n, ascending."""
     divs = [1]
@@ -221,7 +220,6 @@ def primes_upto(bound: int) -> list[int]:
     return list(compress(range(bound + 1), prime_flags(bound))) if bound >= 2 else []
 
 
-@lru_cache(maxsize=64)
 def two_nonresidue_primes(bound: int) -> tuple[int, ...]:
     """Odd primes p <= bound with (2/p) = -1, ascending.
 

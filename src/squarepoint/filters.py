@@ -98,10 +98,6 @@ class Attribution(NamedTuple):
                 return fid
         return None
 
-    @property
-    def survived(self) -> bool:
-        return self.eliminated_by is None
-
 
 # full_attribution of a candidate that every filter leaves undecided
 ALL_UNDECIDED = Attribution(tuple((fid, UNDECIDED) for fid in FilterId))

@@ -25,10 +25,6 @@ class Candidate(NamedTuple):
     z: int
 
     @property
-    def is_interior(self) -> bool:
-        return 0 < self.x < self.z and 0 < self.y < self.z
-
-    @property
     def is_primitive(self) -> bool:
         return gcd(self.x, self.y, self.z) == 1
 

@@ -28,15 +28,6 @@ if TYPE_CHECKING:
 
 FORMATS = ("json", "csv", "text")
 
-# human labels of the source filters' ids for the text renderer, for
-# traceability of each list
-_SOURCE_LABELS = {
-    "lemma3": "Lemma 3",
-    "theorem3": "Theorem 3",
-    "theorem4": "Theorem 4",
-    "theorem5": "Theorem 5",
-}
-
 
 class ValueLists(NamedTuple):
     direct: tuple[int, ...]
@@ -59,6 +50,15 @@ class UnavailableLists(NamedTuple):
     theorem4_x: ValueLists
     theorem5_y: ValueLists
     lemma3_y: ValueLists
+
+
+# (filter id, axis, text label) of each list, in UnavailableLists field order
+_SOURCES = (
+    ("theorem3", "x", "Theorem 3"),
+    ("theorem4", "x", "Theorem 4"),
+    ("theorem5", "y", "Theorem 5"),
+    ("lemma3", "y", "Lemma 3"),
+)
 
 
 def unavailable_lists(z: int) -> UnavailableLists:
@@ -202,19 +202,9 @@ def unavailable_to_dict(lists: UnavailableLists) -> dict:
         "z": lists.z,
         "lists": {
             fid: {"direct": list(vl.direct), "combined": list(vl.combined)}
-            for fid, _, vl in _named_lists(lists)
+            for (fid, _, _), vl in zip(_SOURCES, lists[1:])
         },
     }
-
-
-def _named_lists(lists: UnavailableLists):
-    """(source filter id, axis, values) of each list."""
-    return (
-        ("theorem3", "x", lists.theorem3_x),
-        ("theorem4", "x", lists.theorem4_x),
-        ("theorem5", "y", lists.theorem5_y),
-        ("lemma3", "y", lists.lemma3_y),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +242,7 @@ def _sieve_rows(result: SieveResult) -> list[tuple]:
 
 def _lists_rows(lists: UnavailableLists) -> list[tuple]:
     rows = []
-    for fid, axis, vl in _named_lists(lists):
+    for (fid, axis, _), vl in zip(_SOURCES, lists[1:]):
         direct = set(vl.direct)  # a tuple test per value would be quadratic in z
         rows += [
             (lists.z, *((v, "") if axis == "x" else ("", v)), "unavailable", fid,
@@ -303,8 +293,8 @@ def _scan_lines(report: ScanReport) -> list[str]:
 
 def _lists_lines(lists: UnavailableLists) -> list[str]:
     lines = [f"unavailable values at z={lists.z}"]
-    for fid, axis, vl in _named_lists(lists):
-        label = f"{fid} ({_SOURCE_LABELS[fid]}), {axis}"
+    for (fid, axis, name), vl in zip(_SOURCES, lists[1:]):
+        label = f"{fid} ({name}), {axis}"
         lines.append(f"  {label}, direct:   " + " ".join(map(str, vl.direct)))
         lines.append(f"  {label}, combined: " + " ".join(map(str, vl.combined)))
     return lines

@@ -9,6 +9,7 @@ any worker count produces identical results.
 from __future__ import annotations
 
 import itertools
+import os
 from math import gcd
 from operator import itemgetter
 from typing import Callable, Collection, Iterator, NamedTuple
@@ -166,22 +167,16 @@ def _interior_hits(z: int, min_count: int) -> Iterator[tuple[int, int]]:
     among four partner streams (corners A, B, D, C).
     """
     if min_count == 0:
-        for x in range(1, z):
-            for y in range(1, z):
-                yield x, y
+        yield from itertools.product(range(1, z), repeat=2)
         return
     for x in range(1, z):
         counts: dict[int, int] = {}
-        for y in pythagorean_partners(x):
-            if y < z:
-                counts[y] = counts.get(y, 0) + 1  # corner A
-            if 0 < z - y:
-                counts[z - y] = counts.get(z - y, 0) + 1  # corner B
-        for y in pythagorean_partners(z - x):
-            if y < z:
-                counts[y] = counts.get(y, 0) + 1  # corner D
-            if 0 < z - y:
-                counts[z - y] = counts.get(z - y, 0) + 1  # corner C
+        for leg in (x, z - x):
+            for y in pythagorean_partners(leg):
+                if y < z:
+                    # corners A and B of leg x, D and C of leg z - x
+                    counts[y] = counts.get(y, 0) + 1
+                    counts[z - y] = counts.get(z - y, 0) + 1
         for y in sorted(counts):
             if counts[y] >= min_count:
                 yield x, y
@@ -209,7 +204,8 @@ def oracle_scan(req: ScanRequest) -> ScanReport:
         z_hits = [Candidate(x, y, z) for x, y in _interior_hits(z, req.min_count)]
         if req.include_boundary:
             z_hits.extend(Candidate(x, y, z) for x, y in _boundary_points(z))
-        for c in sorted(set(z_hits)):
+        # distinct already: the interior and boundary points never repeat
+        for c in sorted(z_hits):
             if req.primitive_only and not c.is_primitive:
                 continue
             if canonicalize(c) != c:
@@ -406,7 +402,8 @@ def search_range(
     zs = _side_lengths(z_min, z_max, mod12_only, budget, candidate_count, "range",
                        "candidates")
     tasks = [(z, cfg) for z in zs]
-    workers = min(workers, len(tasks))
+    # at most one worker per CPU: the results are the same for any count
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers <= 1:
         return [_sieve_task(t) for t in tasks]
     # imported here, not at the top: the import takes about 13 ms, which

@@ -141,7 +141,7 @@ def check_witnesses(z_max: int) -> CheckResult:
     for z in range(1, z_max + 1):
         for c in enumerate_candidates(z, dedup=True):
             attribution = run_pipeline(c, cfg)
-            if attribution.survived:
+            if attribution.eliminated_by is None:
                 survivors.add(c)
                 continue
             ((fid, verdict),) = attribution.entries

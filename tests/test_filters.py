@@ -242,7 +242,7 @@ def test_pipeline_results_are_attributions_of_verdicts():
         att = run_pipeline(c, CFG)
         assert type(att) is Attribution
         assert att.eliminated_by is full_attribution(c).eliminated_by, c
-        survivors += att.survived
+        survivors += att.eliminated_by is None
         for fid, v in att.entries:
             assert type(v) is Verdict and v.filter_id is fid and v.eliminated, c
     assert survivors == 2
@@ -250,7 +250,7 @@ def test_pipeline_results_are_attributions_of_verdicts():
 
 def test_three_distance_points_may_fall():
     att = run_pipeline(Candidate(7, 24, 52), CFG, FIRST_HIT)
-    assert not att.survived  # z = 52 is not a multiple of 12
+    assert att.eliminated_by is not None  # z = 52 is not a multiple of 12
 
 
 def test_first_hit_and_full_agree():

@@ -2,6 +2,7 @@
 
 import itertools
 import multiprocessing
+import os
 from math import gcd
 
 import pytest
@@ -15,6 +16,7 @@ from squarepoint.model import (
     canonical_rows,
     canonicalize,
     distance_profile,
+    is_primitive_interior,
     line_orbits,
     orbit,
 )
@@ -96,9 +98,10 @@ def test_scan_request_validation():
     ScanRequest(z_max=24, min_count=4, mod12_only=True)
 
 
-def test_oracle_scan_matches_naive_reference():
-    report = oracle_scan(ScanRequest(z_min=1, z_max=120, min_count=3))
-    expected = naive_scan_hits(120, 3)
+@pytest.mark.parametrize("z_max, min_count", [(120, 3), (60, 1), (60, 2), (60, 4)])
+def test_oracle_scan_matches_naive_reference(z_max, min_count):
+    report = oracle_scan(ScanRequest(z_min=1, z_max=z_max, min_count=min_count))
+    expected = naive_scan_hits(z_max, min_count)
     assert [(h.candidate, h.profile) for h in report.hits] == expected
 
 
@@ -272,7 +275,7 @@ def test_sieve_counts_add_up():
         )
         for survivor in result.survivors:
             c = survivor.candidate
-            assert c.is_primitive and c.is_interior and canonicalize(c) == c
+            assert is_primitive_interior(c) and canonicalize(c) == c
             assert len(survivor.attribution.entries) == len(FilterId)
 
 
@@ -349,12 +352,17 @@ def test_search_range_starts_no_idle_workers(monkeypatch):
             return [func(t) for t in tasks]
 
     monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert search_range(60, 60, workers=64) == [sieve_z(60)]
     assert search_range(13, 23, workers=4, mod12_only=True) == []
     assert requested == []
     results = search_range(48, 60, workers=64)
     assert requested == [13]
     assert [r.z for r in results] == list(range(48, 61))
+    # nor more than one per CPU
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert search_range(48, 60, workers=64) == results
+    assert requested == [13, 2]
 
 
 def test_search_range_worker_failure_aborts(monkeypatch):
