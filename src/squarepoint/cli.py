@@ -99,9 +99,10 @@ def _build_parser() -> _Parser:
 
 
 # the library call behind each result subcommand; it raises ValueError on
-# bad input (a Candidate's bounds are checked when serialize profiles it)
+# bad input (a Candidate's bounds are checked when serialize profiles it).
+# sieve is a one-z search, so it is charged the default budget.
 _RESULTS = {
-    "sieve": lambda a: lib.sieve_z(a.z, a.filters),
+    "sieve": lambda a: lib.search_range(a.z, a.z, a.filters)[0],
     "search": lambda a: lib.search_range(a.z_min, a.z_max, a.filters, workers=a.threads,
                                          mod12_only=a.mod12_only, budget=a.budget),
     "distances": lambda a: Candidate(a.x, a.y, a.z),

@@ -147,11 +147,12 @@ def filter_boundary(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
 
 
 # The witnesses that do not depend on the candidate: one shared Verdict
-# each, its witness read-only.
+# each, its witness read-only and rendered once per indent.
 _EDGE, _MIDLINE, _DIAGONAL = (Verdict(_BOUNDARY, SharedDict(kind="boundary", tag=t))
                               for t in ("edge", "midline", "diagonal"))
 _ONE_ODD_ONE_EVEN, _SIDE_MOD_12 = (Verdict(_PARITY, SharedDict(kind="parity", clause=t))
                                    for t in ("one_odd_one_even", "side_mod_12"))
+SHARED_VERDICTS = (_EDGE, _MIDLINE, _DIAGONAL, _ONE_ODD_ONE_EVEN, _SIDE_MOD_12)
 
 
 @lru_cache(maxsize=1 << 12)

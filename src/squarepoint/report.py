@@ -103,7 +103,7 @@ class SharedList(list):
         return list, (list(self),)
 
 
-# id of a shared entry or list -> {nl: its text}, filled by _attribution_writer
+# id of a shared entry, list or witness -> {nl: its text}, filled by _attribution_writer
 _SHARED_TEXTS: dict[int, dict[str, str]] = {}
 
 
@@ -114,15 +114,17 @@ def _attribution_writer():
 
     Each filter's UNDECIDED entry is one object shared by every attribution
     that holds it, and the entries of ALL_UNDECIDED are one list shared by
-    every attribution equal to it, so _write_json renders each once per
-    indent.  Both are recognised by value, so an attribution unpickled from
-    a worker process shares them too.
+    every attribution equal to it.  Both are recognised by value, so an
+    attribution unpickled from a worker process shares them too.
+    _write_json renders each once per indent, as it does the witnesses of
+    filters.SHARED_VERDICTS.
     """
-    from .filters import ALL_UNDECIDED, UNDECIDED, FilterId, SharedDict
+    from .filters import ALL_UNDECIDED, SHARED_VERDICTS, UNDECIDED, FilterId, SharedDict
 
     undecided = {fid: SharedDict(_verdict_to_dict(fid, UNDECIDED)) for fid in FilterId}
     all_undecided = SharedList(undecided.values())
-    for shared in (*undecided.values(), all_undecided):
+    for shared in (*undecided.values(), all_undecided,
+                   *(v.witness for v in SHARED_VERDICTS)):
         _SHARED_TEXTS[id(shared)] = {}
 
     def attribution_to_list(attribution: Attribution) -> list[dict]:
@@ -324,35 +326,21 @@ def _renderers(result) -> tuple:
 
 
 _escape = json.encoder.encode_basestring_ascii  # the C escaper where built
-# the types json.dumps encodes, bool before int as bool subclasses int
-_JSON_TYPES = (str, bool, int, float, list, tuple, dict, type(None))
 
 
 def _write_json(o, out: list[str], nl: str) -> None:
     """Append to out the text json.dumps(o, indent=2) gives, nl being the
     newline and indent of o's own line.
 
-    json.dumps runs its C encoder only without indent; with indent=2 every
-    value passes through one Python generator per enclosing container.
-    Only str keys and the types json.dumps itself encodes are written; any
-    other type raises TypeError.  A shared entry or list is rendered once
-    per nl and its text reused.  An object of exactly int, dict, str or
-    list, the types a payload holds most, takes its branch at once; any
-    other is looked up as a shared object, then by the JSON type it is an
-    instance of.  Inside a dict or a list, an exact int or None is written
-    in the loop, without a call.
+    json.dumps runs its C encoder only without indent, so the types a
+    payload holds most are written here: an object of exactly int, dict
+    (str keys only, or TypeError), str, list or bool, and inside a dict or
+    a list an exact int or None, without a call.  Any other value is
+    json.dumps's own text with each newline replaced by nl: JSON text holds
+    no raw newline but those indent writes.  A shared entry, list or
+    witness takes that path once per nl, and its text is reused.
     """
     t = type(o)
-    if t is not int and t is not dict and t is not str and t is not list:
-        texts = _SHARED_TEXTS.get(id(o))
-        if texts is not None:
-            if nl not in texts:
-                part: list[str] = []
-                _write_json(o.copy(), part, nl)  # a plain dict or list: written out
-                texts[nl] = "".join(part)
-            out.append(texts[nl])
-            return
-        t = next((base for base in _JSON_TYPES if isinstance(o, base)), None)
     if t is int:
         out.append(int.__repr__(o))
     elif t is dict:
@@ -372,7 +360,7 @@ def _write_json(o, out: list[str], nl: str) -> None:
         out.append(nl + "}" if o else "{}")
     elif t is str:
         out.append(_escape(o))
-    elif t is list or t is tuple:
+    elif t is list:
         inner = nl + "  "
         sep = "[" + inner
         for v in o:
@@ -387,12 +375,12 @@ def _write_json(o, out: list[str], nl: str) -> None:
         out.append(nl + "]" if o else "[]")
     elif t is bool:
         out.append("true" if o else "false")
-    elif o is None:
-        out.append("null")
-    elif t is float:
-        out.append(json.dumps(o))
+    elif (texts := _SHARED_TEXTS.get(id(o))) is None:
+        out.append(json.dumps(o, indent=2).replace("\n", nl))
     else:
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        if nl not in texts:
+            texts[nl] = json.dumps(o, indent=2).replace("\n", nl)
+        out.append(texts[nl])
 
 
 def serialize(result, fmt: str = "json") -> bytes:

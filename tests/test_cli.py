@@ -40,8 +40,26 @@ def test_sieve_text_mentions_zero_survivors(capsys):
     assert code == 0 and "survivors: 0" in out
 
 
+def test_sieve_is_charged_the_default_budget(capsys, monkeypatch):
+    def stub(z, cfg=None):
+        raise AssertionError(f"sieved z={z}")
+
+    # the stubs fail at once where the real sieve would walk every candidate
+    monkeypatch.setattr("squarepoint.sieve_z", stub)
+    monkeypatch.setattr("squarepoint.search.sieve_z", stub)
+    # z = 120000 holds 1,152,008,000 candidates, over DEFAULT_BUDGET = 10**9
+    code, out, err = run(capsys, "sieve", "--z", "120000")
+    assert code == 2 and out == ""
+    assert err == ("computation failed: range holds more than "
+                   "budget=1000000000 candidates\n")
+    # a z within budget is sieved, and its failure names it
+    code, out, err = run(capsys, "sieve", "--z", "60")
+    assert code == 2 and out == ""
+    assert err == "computation failed: sieve failed at z=60: sieved z=60\n"
+
+
 @pytest.mark.parametrize("argv, message", [
-    ("sieve --z 0", "z must be positive"),
+    ("sieve --z 0", "need 1 <= z_min <= z_max"),
     ("sieve --z x", "argument --z: invalid int value: 'x'"),
     ("sieve --z 60 --filters nope", "argument --filters: unknown filter in 'nope'; "
      "valid ids: " + ",".join(f.value for f in FilterId)),

@@ -13,6 +13,8 @@ from hypothesis import given, strategies as st
 
 from squarepoint import model, report, search
 from squarepoint.filters import (
+    ALL_UNDECIDED,
+    SHARED_VERDICTS,
     UNDECIDED,
     Attribution,
     FilterConfig,
@@ -303,6 +305,19 @@ _json_trees = st.recursive(
 @given(_json_trees)
 def test_json_writer_matches_stdlib(tree):
     assert _write(tree) == json.dumps(tree, indent=2)
+
+
+def test_json_writer_shared_texts_match_stdlib():
+    # the shared all-UNDECIDED list and shared witnesses, in the values the
+    # writer hands to json.dumps whole, at the top level and one level down;
+    # the second pass reads the texts kept per indent
+    shared = report._attribution_writer()(ALL_UNDECIDED)
+    witnesses = [v.witness for v in SHARED_VERDICTS]
+    for holder in (tuple, _List):
+        value = holder([shared, witnesses[0], [shared, witnesses[-1]]])
+        for tree in (value, {"a": [value, *witnesses, shared]}):
+            for _ in range(2):
+                assert _write(tree) == json.dumps(tree, indent=2)
 
 
 def test_json_matches_stdlib_per_payload():
