@@ -334,11 +334,12 @@ def _write_json(o, out: list[str], nl: str) -> None:
 
     json.dumps runs its C encoder only without indent, so the types a
     payload holds most are written here: an object of exactly int, dict
-    (str keys only, or TypeError), str, list or bool, and inside a dict or
-    a list an exact int or None, without a call.  Any other value is
-    json.dumps's own text with each newline replaced by nl: JSON text holds
-    no raw newline but those indent writes.  A shared entry, list or
-    witness takes that path once per nl, and its text is reused.
+    with str keys, str, list or bool, and inside a dict or a list an exact
+    int or None, without a call.  Any other value, and a dict with any
+    other key (what was written of it is dropped), is json.dumps's own
+    text with each newline replaced by nl: JSON text holds no raw newline
+    but those indent writes.  A shared entry, list or witness takes that
+    path once per nl, and its text is reused.
     """
     t = type(o)
     if t is int:
@@ -346,9 +347,12 @@ def _write_json(o, out: list[str], nl: str) -> None:
     elif t is dict:
         inner = nl + "  "
         sep = "{" + inner
+        start = len(out)
         for k, v in o.items():
             if not isinstance(k, str):
-                raise TypeError(f"JSON keys must be str, not {type(k).__name__}")
+                del out[start:]
+                out.append(json.dumps(o, indent=2).replace("\n", nl))
+                return
             if type(v) is int:
                 out.append(sep + _escape(k) + ": " + int.__repr__(v))
             elif v is None:

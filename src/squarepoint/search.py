@@ -162,12 +162,32 @@ def _interior_hits(z: int, min_count: int) -> Iterator[tuple[int, int]]:
     """(x, y) of the interior points with at least min_count integer corner
     distances, ascending.
 
-    A corner is integral iff its vertical leg lies in the partner table of
-    its horizontal leg, so the count at (x, y) is the multiplicity of y
-    among four partner streams (corners A, B, D, C).
+    A corner distance is an integer iff its vertical leg is a partner of its
+    horizontal leg: at (x, y), A's iff y is a partner of x, B's iff z - y
+    is, D's iff y is a partner of z - x and C's iff z - y is.  For
+    min_count 1 and 2 the count is the multiplicity of y among those four
+    partner streams.  For min_count 3 and 4 only the shared-leg pairs are
+    visited: any three corners include A and B, which share the leg x, or
+    D and C, which share z - x, so y and z - y are both partners of x or
+    both of z - x.  No hit is missed, and each pair's count is exact.
+    Below 3 a hit needs no such pair, and the pair walk costs more there.
     """
     if min_count == 0:
         yield from itertools.product(range(1, z), repeat=2)
+        return
+    if min_count >= 3:
+        for x in range(1, z):
+            px, pu = pythagorean_partners(x), pythagorean_partners(z - x)
+            ys = set()
+            for legs in (px, pu):
+                for y in legs:
+                    if y >= z:
+                        break  # the partners ascend
+                    if z - y in legs:
+                        ys.add(y)
+            for y in sorted(ys):
+                if (y in px) + (z - y in px) + (z - y in pu) + (y in pu) >= min_count:
+                    yield x, y
         return
     for x in range(1, z):
         counts: dict[int, int] = {}
@@ -194,7 +214,16 @@ def _boundary_points(z: int) -> Iterator[tuple[int, int]]:
 def oracle_scan(req: ScanRequest) -> ScanReport:
     """Exhaustive scan for points with at least min_count integer corner
     distances; emits one canonical representative per orbit, ascending
-    (z, x, y), each with its exact profile and orbit size."""
+    (z, x, y), each with its exact profile and orbit size.
+
+    Every interior x of every z is walked (_interior_hits).  With
+    min_count 3 or 4 only the points where a shared leg splits z are
+    counted: y and z - y both partners of x, or both of z - x, since any
+    three corners include A and B, on leg x, or D and C, on leg z - x.  No
+    other point can hit, and each counted point's count is exact, so the
+    hits are those of counting every point, as min_count 1 and 2 do.  The
+    budget charges every point of the region either way.
+    """
     # the oracle visits every pair (x, y), the boundary included if asked
     pad = 1 if req.include_boundary else -1
     zs = _side_lengths(req.z_min, req.z_max, req.mod12_only, req.budget,

@@ -462,9 +462,12 @@ def test_shared_witness_refuses_every_edit():
 
 
 def test_json_writer_rejects_other_types():
-    for bad in ({1, 2}, {"a": [frozenset()]}, b"bytes", object(), {1: "int key"}):
+    for bad in ({1, 2}, {"a": [frozenset()]}, b"bytes", object()):
         with pytest.raises(TypeError):
             _write(bad)
+    # a key that is not a str is json.dumps's text, as in any other dict
+    for tree in ({1: "a"}, ({1: "a"},), {True: 1}, {"k": [{"b": 1, 2: None}]}):
+        assert _write(tree) == json.dumps(tree, indent=2)
 
 
 def test_deterministic_bytes():

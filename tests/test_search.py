@@ -3,7 +3,7 @@
 import itertools
 import multiprocessing
 import os
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -103,6 +103,32 @@ def test_oracle_scan_matches_naive_reference(z_max, min_count):
     report = oracle_scan(ScanRequest(z_min=1, z_max=z_max, min_count=min_count))
     expected = naive_scan_hits(z_max, min_count)
     assert [(h.candidate, h.profile) for h in report.hits] == expected
+
+
+def test_interior_hits_match_brute_force_counts():
+    # every interior point, not only the canonical or primitive ones: the
+    # scans with primitive_only=False read them all
+    def is_square(n):
+        return isqrt(n) ** 2 == n
+
+    for z in range(1, 61):
+        counts = {
+            (x, y): sum(map(is_square, (x * x + y * y, x * x + (z - y) ** 2,
+                                        (z - x) ** 2 + (z - y) ** 2, (z - x) ** 2 + y * y)))
+            for x in range(1, z) for y in range(1, z)
+        }
+        for min_count in range(1, 5):
+            expected = [p for p, n in counts.items() if n >= min_count]
+            assert list(search._interior_hits(z, min_count)) == expected, (z, min_count)
+
+
+def test_oracle_scan_three_distance_points_to_1000():
+    report = oracle_scan(ScanRequest(z_min=1, z_max=1000, min_count=3))
+    assert [tuple(h.candidate) for h in report.hits] == [
+        (7, 24, 52), (55, 48, 195), (297, 304, 700), (315, 168, 740), (87, 416, 867),
+        (231, 476, 996),
+    ]
+    assert {h.profile.integer_count for h in report.hits} == {3}
 
 
 def test_oracle_scan_finds_first_triple():
