@@ -313,16 +313,24 @@ def odd_prime(t: int) -> bool:
     return t % 2 == 1 and is_prime(t)
 
 
+def _first_side(c: Candidate, fid: FilterId, witness: Callable[..., dict]) -> Verdict:
+    """Side loop of a ONE_AXIS filter other than theorem6: v, c's coordinate
+    on fid's axis, then z - v.  The first to pass fid's test eliminates c,
+    with witness(side name, side value, test result); if neither, UNDECIDED."""
+    axis, test, _ = ONE_AXIS[fid]
+    v = c[0] if axis == "x" else c[1]
+    for side, t in ((axis, v), ("z-" + axis, c[2] - v)):
+        result = test(t)
+        if result:
+            return _new(Verdict, (fid, witness(side, t, result)))
+    return UNDECIDED
+
+
 def filter_theorem3(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
     """Neither x nor z - x may be an odd prime: an odd prime leg forces the
     even partner (p*p - 1)/2 at two corners, putting the point on a midline."""
-    x, _, z = c
-    for side, t in (("x", x), ("z-x", z - x)):
-        if odd_prime(t):
-            return _new(Verdict, (
-                FilterId.THEOREM3, {"kind": "prime", "side": side, "value": t}
-            ))
-    return UNDECIDED
+    return _first_side(c, FilterId.THEOREM3,
+                       lambda side, t, _: {"kind": "prime", "side": side, "value": t})
 
 
 def theorem4_root(t: int) -> tuple[int, int] | None:
@@ -335,15 +343,8 @@ def theorem4_root(t: int) -> tuple[int, int] | None:
 
 def filter_theorem4(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
     """Neither x nor z - x may be p**e for a prime in NONRESIDUE_PRIMES."""
-    x, _, z = c
-    for side, t in (("x", x), ("z-x", z - x)):
-        root = theorem4_root(t)
-        if root is not None:
-            return _new(Verdict, (
-                FilterId.THEOREM4,
-                {"kind": "prime_power", "side": side, "p": root[0], "e": root[1]},
-            ))
-    return UNDECIDED
+    return _first_side(c, FilterId.THEOREM4, lambda side, _, root: {
+        "kind": "prime_power", "side": side, "p": root[0], "e": root[1]})
 
 
 def shape5_prime_allowed(p: int) -> bool:
@@ -378,23 +379,9 @@ def theorem5_shape(t: int) -> tuple[int, int, tuple[tuple[int, int], ...]] | Non
 def filter_theorem5(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
     """Neither y nor z - y may equal 2**(h+1) * m with 2**h > m and every
     prime factor of m either 1 (mod 4) or a non-residue modulus for 2."""
-    _, y, z = c
-    for target, t in (("y", y), ("z-y", z - y)):
-        shape = theorem5_shape(t)
-        if shape is not None:
-            h, m, fact = shape
-            return _new(Verdict, (
-                FilterId.THEOREM5,
-                {
-                    "kind": "shape5",
-                    "target": target,
-                    "value": t,
-                    "h": h,
-                    "m": m,
-                    "m_factors": [[p, e] for p, e in fact],
-                },
-            ))
-    return UNDECIDED
+    return _first_side(c, FilterId.THEOREM5, lambda target, t, shape: {
+        "kind": "shape5", "target": target, "value": t, "h": shape[0], "m": shape[1],
+        "m_factors": [[p, e] for p, e in shape[2]]})
 
 
 @lru_cache(maxsize=1 << 16)
@@ -421,14 +408,8 @@ def filter_cor52(c: Candidate, cfg: FilterConfig | None = None) -> Verdict:
     """Neither x nor z - x may split as q1*q2 (q1 > q2 >= 1 odd, both
     non-residue moduli for 2) with (q1**2 - q2**2)/4 passing the theorem5
     shape test; the split would force an excluded even partner."""
-    x, _, z = c
-    for target, t in (("x", x), ("z-x", z - x)):
-        split = cor52_split(t)
-        if split is not None:
-            witness = {"kind": "cor52", "target": target, "value": t}
-            witness.update(zip(("q1", "q2", "h", "m"), split))
-            return _new(Verdict, (FilterId.COROLLARY52, witness))
-    return UNDECIDED
+    return _first_side(c, FilterId.COROLLARY52, lambda target, t, split: {
+        "kind": "cor52", "target": target, "value": t, **dict(zip(("q1", "q2", "h", "m"), split))})
 
 
 def odd_semiprime(t: int) -> tuple[int, int] | None:
@@ -536,7 +517,9 @@ def _nonresidue_semiprimes(n: int) -> bytearray:
 # 0..n that pass the test as n + 1 bytes of 0 or 1, listed from the
 # condition itself rather than by testing each value.  A side value v is
 # ruled out at side z when v or z - v passes the test; for theorem6, only
-# when both do.
+# when both do.  _first_side reads the axis and test for theorem3, theorem4,
+# theorem5 and corollary52; passed_values reads the fill, for ruled_values
+# (the sieve's planes) and the lists report.
 ONE_AXIS: dict[FilterId, tuple[str, Callable[[int], object], Callable[[int], bytearray]]] = {
     FilterId.THEOREM3: ("x", odd_prime, _odd_primes),
     FilterId.THEOREM4: ("x", theorem4_root, _nonresidue_prime_powers),
@@ -551,16 +534,22 @@ ONE_AXIS: dict[FilterId, tuple[str, Callable[[int], object], Callable[[int], byt
 _PASSES: dict[FilterId, bytes] = {}
 
 
-def ruled_values(z: int, fid: FilterId) -> bytes:
-    """Entry v, for v in 0..z, is 1 iff the ONE_AXIS filter fid rules out
-    the side value v at side z."""
+def passed_values(z: int, fid: FilterId) -> bytes:
+    """Entry v, for v in 0..z, is 1 iff v passes the ONE_AXIS filter fid's
+    per-value test."""
     passed = _PASSES.get(fid, b"")
     if len(passed) <= z:
         # at least doubled, so an ascending sweep of z fills O(log z) times
         passed = bytes(ONE_AXIS[fid][2](max(z, 2 * len(passed))))
         _PASSES[fid] = passed
+    return passed[:z + 1]
+
+
+def ruled_values(z: int, fid: FilterId) -> bytes:
+    """Entry v, for v in 0..z, is 1 iff the ONE_AXIS filter fid rules out
+    the side value v at side z."""
     # read big-endian, the entries 0..z give v the entry of z - v
-    window = passed[:z + 1]
+    window = passed_values(z, fid)
     own, reflected = int.from_bytes(window, "little"), int.from_bytes(window, "big")
     ruled = own & reflected if fid is FilterId.THEOREM6 else own | reflected
     return ruled.to_bytes(z + 1, "little")

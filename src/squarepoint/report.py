@@ -1,6 +1,7 @@
 """Serialization of sieve, scan and list results (json, csv, text), plus the
-per-z lists of values the filters rule out for x and y, read from
-filters.ruled_values and filters.lemma3_sides.
+per-z lists of values the filters rule out for x and y: each direct list
+read from filters.passed_values, each combined list from
+filters.ruled_values, and lemma3's from filters.lemma3_sides.
 
 Output is deterministic: identical inputs give identical bytes.  The JSON
 holds every field of its result, so the result can be read back from it
@@ -64,11 +65,11 @@ _SOURCES = (
 def unavailable_lists(z: int) -> UnavailableLists:
     if z < 2 or z % 2:
         raise ValueError("unavailable lists are defined for even z >= 2")
-    from .filters import ONE_AXIS, FilterId, lemma3_divisors, lemma3_sides, ruled_values
+    from .filters import FilterId, lemma3_divisors, lemma3_sides, passed_values, ruled_values
 
     def lists(fid: FilterId) -> ValueLists:
-        combined = tuple(itertools.compress(range(1, z), ruled_values(z, fid)[1:z]))
-        return ValueLists(tuple(filter(ONE_AXIS[fid][1], combined)), combined)
+        return ValueLists(*(tuple(itertools.compress(range(1, z), table(z, fid)[1:z]))
+                            for table in (passed_values, ruled_values)))
 
     theorem5 = lists(FilterId.THEOREM5)
     lemma3 = tuple(sorted(lemma3_sides(z).difference(theorem5.combined)))
@@ -394,6 +395,10 @@ def serialize(result, fmt: str = "json") -> bytes:
         raise ValueError(f"unsupported format {fmt!r}; expected one of {FORMATS}")
     # every record is a tuple subclass, so only a plain list or tuple is a range
     is_range = type(result) in (list, tuple)
+    if is_range:
+        for r in result:
+            if _renderers(r) is not _SIEVE:
+                raise TypeError(f"cannot serialize {type(r).__name__} in a range of SieveResults")
     to_dict, rows, lines = _SIEVE if is_range else _renderers(result)
     results = result if is_range else (result,)
     if fmt == "json":

@@ -216,13 +216,10 @@ def oracle_scan(req: ScanRequest) -> ScanReport:
     distances; emits one canonical representative per orbit, ascending
     (z, x, y), each with its exact profile and orbit size.
 
-    Every interior x of every z is walked (_interior_hits).  With
-    min_count 3 or 4 only the points where a shared leg splits z are
-    counted: y and z - y both partners of x, or both of z - x, since any
-    three corners include A and B, on leg x, or D and C, on leg z - x.  No
-    other point can hit, and each counted point's count is exact, so the
-    hits are those of counting every point, as min_count 1 and 2 do.  The
-    budget charges every point of the region either way.
+    Every interior x of every z is walked by _interior_hits, which with
+    min_count 3 or 4 counts only the points where a shared leg splits z
+    (its docstring says why no hit is missed).  The budget charges every
+    point of the region either way.
     """
     # the oracle visits every pair (x, y), the boundary included if asked
     pad = 1 if req.include_boundary else -1

@@ -11,9 +11,10 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
-from squarepoint import model, report, search
+from squarepoint import filters, model, report, search
 from squarepoint.filters import (
     ALL_UNDECIDED,
+    ONE_AXIS,
     SHARED_VERDICTS,
     UNDECIDED,
     Attribution,
@@ -168,6 +169,19 @@ def test_lists_match_filters():
         assert lists.lemma3_y == tuple(l3), z
 
 
+def test_lists_read_the_pass_tables(monkeypatch):
+    # the direct lists come from the filled tables, so no per-value test runs
+    expected = unavailable_lists(2400)
+
+    def refuse(v):
+        raise AssertionError(f"per-value test called on {v}")
+
+    for fid, (axis, _, fill) in ONE_AXIS.items():
+        monkeypatch.setitem(ONE_AXIS, fid, (axis, refuse, fill))
+    monkeypatch.setattr(filters, "_PASSES", {})
+    assert unavailable_lists(2400) == expected
+
+
 def test_json_roundtrips():
     r60 = sieve_z(60)
     assert parse_sieve_result(serialize(r60)) == r60
@@ -248,6 +262,18 @@ def test_serialize_rejects_unknown_format():
         serialize(sieve_z(12), "yaml")
     with pytest.raises(TypeError):
         serialize(object())
+
+
+@pytest.mark.parametrize("fmt", report.FORMATS)
+def test_serialize_range_rejects_other_items(fmt):
+    # a plain list or tuple is a range of SieveResults: any other item is
+    # refused by its type, not failed on a field it lacks
+    for bad, name in (([Candidate(3, 4, 5)], "Candidate"), ((1, 2), "int"), ([None], "NoneType")):
+        with pytest.raises(TypeError, match=name):
+            serialize(bad, fmt)
+    empty = {"json": b'{\n  "results": []\n}\n', "csv": b"z,x,y,verdict,filter_id,detail\n",
+             "text": b""}[fmt]
+    assert serialize((), fmt) == serialize([], fmt) == empty
 
 
 def _write(tree) -> str:
