@@ -91,6 +91,22 @@ def canonicalize(c: Candidate) -> Candidate:
     return min(orbit(c), key=lambda p: (p.x % 2 == 0, p))
 
 
+def is_canonical(x: int, y: int, z: int) -> bool:
+    """canonicalize(Candidate(x, y, z)) == Candidate(x, y, z) for an
+    interior point (0 < x < z, 0 < y < z), in O(1).
+
+    Derived from canonicalize(): for even z the representatives are exactly
+    (x odd, 2x <= z, y even, 2y <= z) plus (x, y same parity, x <= y,
+    2y <= z); for odd z they are (x, y odd, x <= y, 2y < z) plus (x odd,
+    y even, 2y < z, x <= z - y).  Verified against the orbit partition in
+    tests.  (Same-parity pairs with x, y even are orbit representatives
+    too, though never primitive when z is even.)
+    """
+    if z % 2:
+        return 2 * y < z and x % 2 == 1 and x <= (y if y % 2 else z - y)
+    return 2 * y <= z and (x <= y if x % 2 == y % 2 else x % 2 == 1 and 2 * x <= z)
+
+
 def is_primitive_interior(c: Candidate) -> bool:
     """True iff 0 < x < z, 0 < y < z and gcd(x, y, z) = 1."""
     return 0 < c.x < c.z and 0 < c.y < c.z and gcd(c.x, c.y, c.z) == 1
@@ -101,12 +117,8 @@ def canonical_rows(z: int) -> Iterator[tuple[int, range]]:
     (x, ys), ascending in x: each ys is a step-2 range of y, and an x has
     one or two rows.  Primitivity is NOT filtered here.
 
-    Derived from canonicalize(): for even z the representatives are exactly
-    (x odd, 2x <= z, y even, 2y <= z) plus (x, y same parity, x <= y,
-    2y <= z); for odd z they are (x, y odd, x <= y, 2y < z) plus (x odd,
-    y even, 2y < z, x <= z - y).  Verified against the orbit partition in
-    tests.  (Same-parity pairs with x, y even are orbit representatives
-    too, though never primitive when z is even.)
+    The pairs are exactly those is_canonical accepts; its docstring states
+    the rule.
     """
     if z < 2:
         return

@@ -37,6 +37,7 @@ from .model import (
     canonical_rows,
     canonicalize,
     distance_profile,
+    is_canonical,
     line_orbits,
     orbit,
 )
@@ -169,8 +170,11 @@ def _interior_hits(z: int, min_count: int) -> Iterator[tuple[int, int]]:
     partner streams.  For min_count 3 and 4 only the shared-leg pairs are
     visited: any three corners include A and B, which share the leg x, or
     D and C, which share z - x, so y and z - y are both partners of x or
-    both of z - x.  No hit is missed, and each pair's count is exact.
-    Below 3 a hit needs no such pair, and the pair walk costs more there.
+    both of z - x.  No hit is missed, and each pair's count is exact.  At
+    most x no leg splits z, and that x costs only the two partner walks:
+    the split ys are gathered, deduplicated and sorted only where there
+    are some.  Below 3 a hit needs no such pair, and the pair walk costs
+    more there.  Every interior point is yielded, canonical or not.
     """
     if min_count == 0:
         yield from itertools.product(range(1, z), repeat=2)
@@ -178,14 +182,17 @@ def _interior_hits(z: int, min_count: int) -> Iterator[tuple[int, int]]:
     if min_count >= 3:
         for x in range(1, z):
             px, pu = pythagorean_partners(x), pythagorean_partners(z - x)
-            ys = set()
+            split = []
             for legs in (px, pu):
                 for y in legs:
                     if y >= z:
                         break  # the partners ascend
                     if z - y in legs:
-                        ys.add(y)
-            for y in sorted(ys):
+                        split.append(y)
+            if not split:
+                continue
+            # a y found under both legs is counted once
+            for y in sorted(set(split)):
                 if (y in px) + (z - y in px) + (z - y in pu) + (y in pu) >= min_count:
                     yield x, y
         return
@@ -218,8 +225,11 @@ def oracle_scan(req: ScanRequest) -> ScanReport:
 
     Every interior x of every z is walked by _interior_hits, which with
     min_count 3 or 4 counts only the points where a shared leg splits z
-    (its docstring says why no hit is missed).  The budget charges every
-    point of the region either way.
+    (its docstring says why no hit is missed).  Of its hits, only those
+    that model.is_canonical accepts (an O(1) test on x, y and z) become
+    Candidates and are profiled; the O(z) boundary points, if asked for,
+    are tested with canonicalize.  The budget charges every point of the
+    region either way.
     """
     # the oracle visits every pair (x, y), the boundary included if asked
     pad = 1 if req.include_boundary else -1
@@ -227,14 +237,16 @@ def oracle_scan(req: ScanRequest) -> ScanReport:
                        lambda z: (z + pad) ** 2, "scan region", "points")
     hits = []
     for z in zs:
-        z_hits = [Candidate(x, y, z) for x, y in _interior_hits(z, req.min_count)]
+        # canonical points only: an interior one by the O(1) test, the
+        # boundary's (O(z) of them) by canonicalize
+        z_hits = [_new(Candidate, (x, y, z))
+                  for x, y in _interior_hits(z, req.min_count) if is_canonical(x, y, z)]
         if req.include_boundary:
-            z_hits.extend(Candidate(x, y, z) for x, y in _boundary_points(z))
-        # distinct already: the interior and boundary points never repeat
-        for c in sorted(z_hits):
+            boundary = (Candidate(x, y, z) for x, y in _boundary_points(z))
+            z_hits += [c for c in boundary if canonicalize(c) == c]
+            z_hits.sort()  # the interior hits alone ascend already
+        for c in z_hits:
             if req.primitive_only and not c.is_primitive:
-                continue
-            if canonicalize(c) != c:
                 continue
             profile = distance_profile(c)
             if profile.integer_count >= req.min_count:

@@ -12,6 +12,7 @@ from squarepoint.model import (
     canonicalize,
     corner_legs,
     distance_profile,
+    is_canonical,
     is_primitive_interior,
     orbit,
 )
@@ -132,13 +133,16 @@ def test_integer_count_matches_naive_recount():
 
 
 def test_canonical_interior_pairs_matches_orbit_partition():
-    """The direct canonical enumeration agrees with brute-force orbits."""
-    for z in range(1, 51):
+    """The O(1) canonical test and the direct canonical enumeration agree
+    with brute-force orbits at every interior point, primitive or not."""
+    for z in range(1, 80):
         expected = set()
         for x in range(1, z):
             for y in range(1, z):
                 c = Candidate(x, y, z)
-                if canonicalize(c) == c:
+                canonical = canonicalize(c) == c
+                assert is_canonical(x, y, z) == canonical, c
+                if canonical:
                     expected.add((x, y))
         got = sorted((x, y) for x, ys in canonical_rows(z) for y in ys)
         assert len(got) == len(set(got)), z

@@ -143,12 +143,14 @@ def test_lists_sorted_dedup_and_parity():
             assert set(vl.combined) == set(vl.direct) | {z - v for v in vl.direct}
 
 
-def _lists_from_filter(func, z, values):
-    """(direct, combined) values v the filter rules out at (v, v, z): all of
-    them, and those whose witness cites v itself rather than z - v."""
+def _lists_from_filter(func, z, values, axis):
+    """(direct, combined) values v the filter rules out at (v, 2, z) for
+    axis "x" or (1, v, z) for "y": all of them, and those whose witness
+    cites v itself rather than z - v.  The other coordinate is fixed, so a
+    filter that reads the wrong axis gives another list."""
     direct, combined = [], []
     for v in values:
-        verdict = func(Candidate(v, v, z))
+        verdict = func(Candidate(v, 2, z) if axis == "x" else Candidate(1, v, z))
         if verdict.eliminated:
             combined.append(v)
             if verdict.witness.get("side", verdict.witness.get("target")) in ("x", "y"):
@@ -160,12 +162,12 @@ def test_lists_match_filters():
     for z in range(2, 201, 2):
         lists = unavailable_lists(z)
         odd, even = range(1, z, 2), range(2, z, 2)
-        assert lists.theorem3_x == _lists_from_filter(filter_theorem3, z, odd), z
-        assert lists.theorem4_x == _lists_from_filter(filter_theorem4, z, odd), z
-        assert lists.theorem5_y == _lists_from_filter(filter_theorem5, z, even), z
+        assert lists.theorem3_x == _lists_from_filter(filter_theorem3, z, odd, "x"), z
+        assert lists.theorem4_x == _lists_from_filter(filter_theorem4, z, odd, "x"), z
+        assert lists.theorem5_y == _lists_from_filter(filter_theorem5, z, even, "y"), z
         t5 = set(lists.theorem5_y.combined)
         l3 = [tuple(v for v in vs if v not in t5)
-              for vs in _lists_from_filter(filter_lemma3, z, even)]
+              for vs in _lists_from_filter(filter_lemma3, z, even, "y")]
         assert lists.lemma3_y == tuple(l3), z
 
 

@@ -22,6 +22,7 @@ from squarepoint.model import (
 )
 from squarepoint.search import (
     BudgetExceededError,
+    ScanHit,
     ScanRequest,
     enumerate_candidates,
     oracle_scan,
@@ -38,18 +39,21 @@ from squarepoint.selfcheck import (
 )
 
 
-def naive_scan_hits(z_max, min_count):
-    """Reference double loop: primitive interior canonical points only."""
+def naive_scan_hits(z_max, min_count, include_boundary=False, primitive_only=True):
+    """Reference double loop over every point of each square, the boundary
+    too if asked: the canonical ones (by canonicalize), only primitive ones
+    if asked, with at least min_count integer corner distances."""
     hits = []
     for z in range(1, z_max + 1):
-        for x in range(1, z):
-            for y in range(1, z):
+        values = range(0, z + 1) if include_boundary else range(1, z)
+        for x in values:
+            for y in values:
                 c = Candidate(x, y, z)
-                if not c.is_primitive or canonicalize(c) != c:
+                if primitive_only and not c.is_primitive or canonicalize(c) != c:
                     continue
                 profile = distance_profile(c)
                 if profile.integer_count >= min_count:
-                    hits.append((c, profile))
+                    hits.append(ScanHit(c, profile, len(orbit(c))))
     return hits
 
 
@@ -101,8 +105,21 @@ def test_scan_request_validation():
 @pytest.mark.parametrize("z_max, min_count", [(120, 3), (60, 1), (60, 2), (60, 4)])
 def test_oracle_scan_matches_naive_reference(z_max, min_count):
     report = oracle_scan(ScanRequest(z_min=1, z_max=z_max, min_count=min_count))
-    expected = naive_scan_hits(z_max, min_count)
-    assert [(h.candidate, h.profile) for h in report.hits] == expected
+    assert list(report.hits) == naive_scan_hits(z_max, min_count)
+
+
+@pytest.mark.parametrize("include_boundary", [False, True])
+@pytest.mark.parametrize("primitive_only", [True, False])
+def test_oracle_scan_matches_all_points_reference(include_boundary, primitive_only):
+    # every flag combination and min count; at 0 every canonical point is a hit
+    expected = naive_scan_hits(40, 0, include_boundary, primitive_only)
+    for min_count in range(5):
+        report = oracle_scan(ScanRequest(z_min=1, z_max=40, min_count=min_count,
+                                         include_boundary=include_boundary,
+                                         primitive_only=primitive_only))
+        assert list(report.hits) == [
+            h for h in expected if h.profile.integer_count >= min_count
+        ], min_count
 
 
 def test_interior_hits_match_brute_force_counts():
