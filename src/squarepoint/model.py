@@ -81,6 +81,16 @@ def orbit(c: Candidate) -> set[Candidate]:
     return {_new(Candidate, (a, b, z)) for a, b in pts}
 
 
+def orbit_size(c: Candidate) -> int:
+    """len(orbit(c)) in O(1): 1 at the centre, 4 elsewhere on a midline or a
+    diagonal (corners and edge midpoints included), 8 otherwise."""
+    _check_bounds(c)
+    x, y, z = c
+    if 2 * x == z == 2 * y:
+        return 1
+    return 4 if x == y or z in (2 * x, 2 * y, x + y) else 8
+
+
 def canonicalize(c: Candidate) -> Candidate:
     """The designated orbit representative.
 

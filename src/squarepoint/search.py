@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from bisect import bisect_left
 from math import gcd
 from operator import itemgetter
 from typing import Callable, Collection, Iterator, NamedTuple
@@ -39,7 +40,7 @@ from .model import (
     distance_profile,
     is_canonical,
     line_orbits,
-    orbit,
+    orbit_size,
 )
 
 
@@ -165,45 +166,41 @@ def _interior_hits(z: int, min_count: int) -> Iterator[tuple[int, int]]:
 
     A corner distance is an integer iff its vertical leg is a partner of its
     horizontal leg: at (x, y), A's iff y is a partner of x, B's iff z - y
-    is, D's iff y is a partner of z - x and C's iff z - y is.  For
-    min_count 1 and 2 the count is the multiplicity of y among those four
-    partner streams.  For min_count 3 and 4 only the shared-leg pairs are
-    visited: any three corners include A and B, which share the leg x, or
-    D and C, which share z - x, so y and z - y are both partners of x or
-    both of z - x.  No hit is missed, and each pair's count is exact.  At
-    most x no leg splits z, and that x costs only the two partner walks:
-    the split ys are gathered, deduplicated and sorted only where there
-    are some.  Below 3 a hit needs no such pair, and the pair walk costs
-    more there.  Every interior point is yielded, canonical or not.
+    is, D's iff y is a partner of z - x and C's iff z - y is.  Each leg's
+    partners below z are sliced once per z into a table read at x and at
+    z - x.  For min_count 1 and 2 the count is the multiplicity of y among
+    those four partner streams.  For min_count 3 and 4 only the shared-leg
+    pairs are visited: any three corners include A and B, which share the
+    leg x, or D and C, which share z - x, so y and z - y are both partners
+    of x or both of z - x.  No hit is missed, and each pair's count is
+    exact.  Each leg's split ys are found once per z, and an x where
+    neither x nor z - x splits z is skipped.  Below 3 a hit needs no such
+    pair, and the pair walk costs more there.  Every interior point is
+    yielded, canonical or not.
     """
     if min_count == 0:
         yield from itertools.product(range(1, z), repeat=2)
         return
+    # below[a]: the partners of leg a less than z, ascending; below[0] pads
+    below = [()] + [p[:bisect_left(p, z)] for p in map(pythagorean_partners, range(1, z))]
     if min_count >= 3:
+        split = [[y for y in legs if z - y in legs] for legs in below]
         for x in range(1, z):
-            px, pu = pythagorean_partners(x), pythagorean_partners(z - x)
-            split = []
-            for legs in (px, pu):
-                for y in legs:
-                    if y >= z:
-                        break  # the partners ascend
-                    if z - y in legs:
-                        split.append(y)
-            if not split:
+            if not split[x] and not split[z - x]:
                 continue
+            px, pu = below[x], below[z - x]
             # a y found under both legs is counted once
-            for y in sorted(set(split)):
+            for y in sorted({*split[x], *split[z - x]}):
                 if (y in px) + (z - y in px) + (z - y in pu) + (y in pu) >= min_count:
                     yield x, y
         return
     for x in range(1, z):
         counts: dict[int, int] = {}
-        for leg in (x, z - x):
-            for y in pythagorean_partners(leg):
-                if y < z:
-                    # corners A and B of leg x, D and C of leg z - x
-                    counts[y] = counts.get(y, 0) + 1
-                    counts[z - y] = counts.get(z - y, 0) + 1
+        for legs in (below[x], below[z - x]):
+            for y in legs:
+                # corners A and B of leg x, D and C of leg z - x
+                counts[y] = counts.get(y, 0) + 1
+                counts[z - y] = counts.get(z - y, 0) + 1
         for y in sorted(counts):
             if counts[y] >= min_count:
                 yield x, y
@@ -223,15 +220,15 @@ def oracle_scan(req: ScanRequest) -> ScanReport:
     distances; emits one canonical representative per orbit, ascending
     (z, x, y), each with its exact profile and orbit size.
 
-    Every interior x of every z is walked by _interior_hits, which with
-    min_count 3 or 4 counts only the points where a shared leg splits z
-    (its docstring says why no hit is missed).  Of its hits, only those
-    that model.is_canonical accepts (an O(1) test on x, y and z) become
-    Candidates and are profiled; the O(z) boundary points, if asked for,
-    are tested with canonicalize.  The budget charges every point of the
-    region either way.
+    Each z's interior points come from _interior_hits, which reads one
+    per-z table of each leg's partners below z and, with min_count 3 or 4,
+    counts only the points where a shared leg splits z (its docstring says
+    why no hit is missed).  Of its hits, only those that model.is_canonical
+    accepts (an O(1) test on x, y and z) become Candidates and are
+    profiled; the O(z) boundary points, if asked for, are tested with
+    canonicalize.  A hit's orbit size is model.orbit_size, also O(1).
     """
-    # the oracle visits every pair (x, y), the boundary included if asked
+    # the budget charges every point of the region, not the points walked
     pad = 1 if req.include_boundary else -1
     zs = _side_lengths(req.z_min, req.z_max, req.mod12_only, req.budget,
                        lambda z: (z + pad) ** 2, "scan region", "points")
@@ -250,7 +247,7 @@ def oracle_scan(req: ScanRequest) -> ScanReport:
                 continue
             profile = distance_profile(c)
             if profile.integer_count >= req.min_count:
-                hits.append(ScanHit(c, profile, len(orbit(c))))
+                hits.append(ScanHit(c, profile, orbit_size(c)))
     return ScanReport(req, tuple(hits))
 
 
@@ -401,7 +398,7 @@ def sieve_z(z: int, cfg: FilterConfig | None = None, mode: str = FIRST_HIT) -> S
         survivors=tuple(survivors),
         max_count=max_count,
         witnesses=tuple(
-            ScanHit(s.candidate, s.profile, len(orbit(s.candidate)))
+            ScanHit(s.candidate, s.profile, orbit_size(s.candidate))
             for s in survivors
             if s.profile.integer_count == max_count
         ),

@@ -15,6 +15,7 @@ from squarepoint.model import (
     is_canonical,
     is_primitive_interior,
     orbit,
+    orbit_size,
 )
 
 
@@ -130,6 +131,14 @@ def test_integer_count_matches_naive_recount():
         profile = distance_profile(c)
         naive = sum(isqrt(a * a + b * b)[1] for a, b in corner_legs(c))
         assert profile.integer_count == naive
+
+
+def test_orbit_size_matches_orbit():
+    for z in range(1, 60):
+        for x in range(z + 1):
+            for y in range(z + 1):
+                c = Candidate(x, y, z)
+                assert orbit_size(c) == len(orbit(c)), c
 
 
 def test_canonical_interior_pairs_matches_orbit_partition():

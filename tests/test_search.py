@@ -128,7 +128,7 @@ def test_interior_hits_match_brute_force_counts():
     def is_square(n):
         return isqrt(n) ** 2 == n
 
-    for z in range(1, 61):
+    for z in range(1, 101):
         counts = {
             (x, y): sum(map(is_square, (x * x + y * y, x * x + (z - y) ** 2,
                                         (z - x) ** 2 + (z - y) ** 2, (z - x) ** 2 + y * y)))
