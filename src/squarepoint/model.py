@@ -102,8 +102,8 @@ def canonicalize(c: Candidate) -> Candidate:
 
 
 def is_canonical(x: int, y: int, z: int) -> bool:
-    """canonicalize(Candidate(x, y, z)) == Candidate(x, y, z) for an
-    interior point (0 < x < z, 0 < y < z), in O(1).
+    """canonicalize(Candidate(x, y, z)) == Candidate(x, y, z) for any point
+    of the closed square (0 <= x, y <= z), edges included, in O(1).
 
     Derived from canonicalize(): for even z the representatives are exactly
     (x odd, 2x <= z, y even, 2y <= z) plus (x, y same parity, x <= y,

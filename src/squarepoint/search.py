@@ -2,8 +2,9 @@
 
 The oracle is exact integer arithmetic throughout: a corner distance is an
 integer iff the matching leg pair appears in the partner table built with
-pythagorean_partners.  Work over a z-range partitions by whole z values, so
-any worker count produces identical results.
+pythagorean_partners, where a leg of length 0, on an edge of the square,
+is a partner of every leg.  Work over a z-range partitions by whole z
+values, so any worker count produces identical results.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .model import (
     _new,
     candidate_count,
     canonical_rows,
-    canonicalize,
     distance_profile,
     is_canonical,
     line_orbits,
@@ -160,14 +160,17 @@ def _side_lengths(
     return zs
 
 
-def _interior_hits(z: int, min_count: int) -> Iterator[tuple[int, int]]:
-    """(x, y) of the interior points with at least min_count integer corner
-    distances, ascending.
+def _hits(z: int, min_count: int, boundary: bool) -> Iterator[tuple[int, int]]:
+    """(x, y) of the points with at least min_count integer corner
+    distances, ascending, over x and y in side: 1..z-1, or 0..z with
+    boundary.
 
     A corner distance is an integer iff its vertical leg is a partner of its
     horizontal leg: at (x, y), A's iff y is a partner of x, B's iff z - y
-    is, D's iff y is a partner of z - x and C's iff z - y is.  Each leg's
-    partners below z are sliced once per z into a table read at x and at
+    is, D's iff y is a partner of z - x and C's iff z - y is.  An edge
+    point has a leg of length 0, and 0 is a partner of every leg: leg 0's
+    partners are all of side, and every leg's include 0.  Each leg's
+    partners in side are sliced once per z into a table read at x and at
     z - x.  For min_count 1 and 2 the count is the multiplicity of y among
     those four partner streams.  For min_count 3 and 4 only the shared-leg
     pairs are visited: any three corners include A and B, which share the
@@ -175,17 +178,20 @@ def _interior_hits(z: int, min_count: int) -> Iterator[tuple[int, int]]:
     of x or both of z - x.  No hit is missed, and each pair's count is
     exact.  Each leg's split ys are found once per z, and an x where
     neither x nor z - x splits z is skipped.  Below 3 a hit needs no such
-    pair, and the pair walk costs more there.  Every interior point is
-    yielded, canonical or not.
+    pair, and the pair walk costs more there.  Every point is yielded,
+    canonical or not.
     """
+    side = range(0, z + 1) if boundary else range(1, z)
     if min_count == 0:
-        yield from itertools.product(range(1, z), repeat=2)
+        yield from itertools.product(side, repeat=2)
         return
-    # below[a]: the partners of leg a less than z, ascending; below[0] pads
-    below = [()] + [p[:bisect_left(p, z)] for p in map(pythagorean_partners, range(1, z))]
+    # below[a]: the partners of leg a in side, ascending; in the interior
+    # below[0] pads
+    below = [p[:bisect_left(p, side.stop)] for p in map(pythagorean_partners, range(1, side.stop))]
+    below = [side, *((0, *legs) for legs in below)] if boundary else [(), *below]
     if min_count >= 3:
         split = [[y for y in legs if z - y in legs] for legs in below]
-        for x in range(1, z):
+        for x in side:
             if not split[x] and not split[z - x]:
                 continue
             px, pu = below[x], below[z - x]
@@ -194,7 +200,7 @@ def _interior_hits(z: int, min_count: int) -> Iterator[tuple[int, int]]:
                 if (y in px) + (z - y in px) + (z - y in pu) + (y in pu) >= min_count:
                     yield x, y
         return
-    for x in range(1, z):
+    for x in side:
         counts: dict[int, int] = {}
         for legs in (below[x], below[z - x]):
             for y in legs:
@@ -206,27 +212,20 @@ def _interior_hits(z: int, min_count: int) -> Iterator[tuple[int, int]]:
                 yield x, y
 
 
-def _boundary_points(z: int) -> Iterator[tuple[int, int]]:
-    for y in range(z + 1):
-        yield 0, y
-        yield z, y
-    for x in range(1, z):
-        yield x, 0
-        yield x, z
-
-
 def oracle_scan(req: ScanRequest) -> ScanReport:
     """Exhaustive scan for points with at least min_count integer corner
     distances; emits one canonical representative per orbit, ascending
     (z, x, y), each with its exact profile and orbit size.
 
-    Each z's interior points come from _interior_hits, which reads one
-    per-z table of each leg's partners below z and, with min_count 3 or 4,
-    counts only the points where a shared leg splits z (its docstring says
-    why no hit is missed).  Of its hits, only those that model.is_canonical
-    accepts (an O(1) test on x, y and z) become Candidates and are
-    profiled; the O(z) boundary points, if asked for, are tested with
-    canonicalize.  A hit's orbit size is model.orbit_size, also O(1).
+    Each z's points, the edges too with include_boundary, come from _hits,
+    which reads one per-z table of each leg's partners and, with min_count
+    3 or 4, counts only the points where a shared leg splits z (its
+    docstring says why no hit is missed).  An edge point's leg of length 0
+    is a partner of every leg, so edges and interior share that one walk,
+    and every count it yields is exact.  Of its hits, only those that
+    model.is_canonical accepts (an O(1) test on x, y and z, on the closed
+    square) become Candidates and are profiled.  A hit's orbit size is
+    model.orbit_size, also O(1).
     """
     # the budget charges every point of the region, not the points walked
     pad = 1 if req.include_boundary else -1
@@ -234,20 +233,13 @@ def oracle_scan(req: ScanRequest) -> ScanReport:
                        lambda z: (z + pad) ** 2, "scan region", "points")
     hits = []
     for z in zs:
-        # canonical points only: an interior one by the O(1) test, the
-        # boundary's (O(z) of them) by canonicalize
-        z_hits = [_new(Candidate, (x, y, z))
-                  for x, y in _interior_hits(z, req.min_count) if is_canonical(x, y, z)]
-        if req.include_boundary:
-            boundary = (Candidate(x, y, z) for x, y in _boundary_points(z))
-            z_hits += [c for c in boundary if canonicalize(c) == c]
-            z_hits.sort()  # the interior hits alone ascend already
-        for c in z_hits:
+        for x, y in _hits(z, req.min_count, req.include_boundary):
+            if not is_canonical(x, y, z):
+                continue
+            c = _new(Candidate, (x, y, z))
             if req.primitive_only and not c.is_primitive:
                 continue
-            profile = distance_profile(c)
-            if profile.integer_count >= req.min_count:
-                hits.append(ScanHit(c, profile, orbit_size(c)))
+            hits.append(ScanHit(c, distance_profile(c), orbit_size(c)))
     return ScanReport(req, tuple(hits))
 
 

@@ -77,9 +77,11 @@ def check_decompositions(below: int) -> CheckResult:
 
 
 def check_first_hit(zs: tuple[int, ...]) -> CheckResult:
-    """The sieve's first-hit pipeline and full attribution, two separate
-    evaluations, name the same first eliminating filter (None for a
-    survivor) for every candidate at each z."""
+    """run_pipeline's walk over the enabled filters in FilterId order stops
+    at the same filter (None for a survivor) as the first eliminator in
+    full_attribution's table of every filter, for every candidate at each
+    z.  Both call the same filter functions, so this tests the walk's
+    order and its stop, not the filters."""
     cfg = FilterConfig()
     return _check(f"first hit matches full attribution (z in {zs})", [
         c

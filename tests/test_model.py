@@ -142,16 +142,17 @@ def test_orbit_size_matches_orbit():
 
 
 def test_canonical_interior_pairs_matches_orbit_partition():
-    """The O(1) canonical test and the direct canonical enumeration agree
-    with brute-force orbits at every interior point, primitive or not."""
+    """The O(1) canonical test agrees with brute-force orbits at every point
+    of the closed square, edges included, and the direct canonical
+    enumeration at every interior point, primitive or not."""
     for z in range(1, 80):
         expected = set()
-        for x in range(1, z):
-            for y in range(1, z):
+        for x in range(z + 1):
+            for y in range(z + 1):
                 c = Candidate(x, y, z)
                 canonical = canonicalize(c) == c
                 assert is_canonical(x, y, z) == canonical, c
-                if canonical:
+                if canonical and 0 < x < z and 0 < y < z:
                     expected.add((x, y))
         got = sorted((x, y) for x, ys in canonical_rows(z) for y in ys)
         assert len(got) == len(set(got)), z

@@ -122,21 +122,25 @@ def test_oracle_scan_matches_all_points_reference(include_boundary, primitive_on
         ], min_count
 
 
-def test_interior_hits_match_brute_force_counts():
-    # every interior point, not only the canonical or primitive ones: the
-    # scans with primitive_only=False read them all
+def test_hits_match_brute_force_counts():
+    # every point of the interior or of the closed square, not only the
+    # canonical or primitive ones: the scans with primitive_only=False read
+    # them all; an edge reads partners equal to z from z = 4 on
     def is_square(n):
         return isqrt(n) ** 2 == n
 
     for z in range(1, 101):
-        counts = {
-            (x, y): sum(map(is_square, (x * x + y * y, x * x + (z - y) ** 2,
-                                        (z - x) ** 2 + (z - y) ** 2, (z - x) ** 2 + y * y)))
-            for x in range(1, z) for y in range(1, z)
-        }
-        for min_count in range(1, 5):
-            expected = [p for p, n in counts.items() if n >= min_count]
-            assert list(search._interior_hits(z, min_count)) == expected, (z, min_count)
+        for boundary in (False, True):
+            side = range(0, z + 1) if boundary else range(1, z)
+            counts = {
+                (x, y): sum(map(is_square, (x * x + y * y, x * x + (z - y) ** 2,
+                                            (z - x) ** 2 + (z - y) ** 2, (z - x) ** 2 + y * y)))
+                for x in side for y in side
+            }
+            for min_count in range(5):
+                expected = [p for p, n in counts.items() if n >= min_count]
+                got = list(search._hits(z, min_count, boundary))
+                assert got == expected, (z, boundary, min_count)
 
 
 def test_oracle_scan_three_distance_points_to_1000():
